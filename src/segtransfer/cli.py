@@ -27,7 +27,7 @@ from .errors import (
 )
 from .losses import LossWeights
 from .metrics import ConfusionMatrix, accumulate, summary
-from .pseudo_label import generate
+from .pseudo_label import assign_initial, generate
 from .superpixel import SlicParams, slic
 from .thresholds import ClassThresholds, CurriculumSchedule, determine_lambdas
 from .toy_pipeline import SynthConfig, TrainConfig, train, gen_synthetic, gradcheck
@@ -103,8 +103,6 @@ def _validate_config(cfg: dict) -> None:
         synth_config(cfg)
         train_config(cfg)
         slic_params(cfg)
-    except ValidationError:
-        raise
     except (TypeError, ValueError) as e:
         raise InvalidConfigError(str(e))
 
@@ -233,7 +231,6 @@ def cmd_thresholds(args) -> int:
 
     counts = np.zeros(thr.num_classes, dtype=np.int64)
     total = 0
-    from .pseudo_label import assign_initial
     for m in maps:
         mask = assign_initial(m, thr)
         total += mask.size
@@ -285,7 +282,13 @@ def cmd_pseudolabel(args) -> int:
 def _load_dataset(data_dir):
     def load_labels(sub):
         with open(os.path.join(data_dir, sub, "labels.json")) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
+        for name in doc["files"]:
+            # names are joined into paths: keep them inside the dataset
+            if (not isinstance(name, str) or name in ("", ".", "..")
+                    or any(sep in name for sep in ("/", "\\", os.sep))):
+                raise ValidationError(f"{sub}/labels.json: {name!r} is not a plain file name")
+        return doc
 
     src_doc = load_labels("source")
     tgt_doc = load_labels("target")

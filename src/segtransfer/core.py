@@ -31,10 +31,14 @@ def as_prob_map(p) -> np.ndarray:
 
 
 def validate_prob_map(p) -> None:
-    """Raise unless every value is in [0, 1] and every pixel sums to 1
-    within PROB_SUM_TOL.  Range is checked before normalization so that
-    e.g. (1.2, -0.2) reports the range violation."""
+    """Raise unless every value is finite and in [0, 1] and every pixel
+    sums to 1 within PROB_SUM_TOL.  Range is checked before normalization
+    so that e.g. (1.2, -0.2) reports the range violation.  NaN fails every
+    comparison, so it is caught by its own check."""
     p = as_prob_map(p)
+    finite = np.isfinite(p)
+    if not finite.all():
+        raise OutOfRangeError(f"probability {p[~finite].flat[0]} is not finite")
     if np.any(p < 0.0) or np.any(p > 1.0):
         bad = p[(p < 0.0) | (p > 1.0)].flat[0]
         raise OutOfRangeError(f"probability {bad} outside [0, 1]")

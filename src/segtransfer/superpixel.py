@@ -112,17 +112,17 @@ def _perturb_seeds(seeds, grad):
     """Move each seed to the strictly lowest-gradient spot in its 3x3
     neighborhood (row-major scan; the seed stays put on ties)."""
     h, w = grad.shape
+    d = np.array([-1, 0, 1])
+    ys = seeds[:, 0, None, None] + d[None, :, None]  # (n, 3, 1)
+    xs = seeds[:, 1, None, None] + d[None, None, :]  # (n, 1, 3)
+    inside = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
+    vals = np.where(inside, grad[ys.clip(0, h - 1), xs.clip(0, w - 1)], np.inf)
+    vals = vals.reshape(len(seeds), 9)
+    first_min = vals.argmin(axis=1)  # argmin keeps the first of equal minima
+    move = vals[np.arange(len(seeds)), first_min] < grad[seeds[:, 0], seeds[:, 1]]
     out = seeds.copy()
-    for i, (cy, cx) in enumerate(seeds):
-        best = grad[cy, cx]
-        by, bx = cy, cx
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                y, x = cy + dy, cx + dx
-                if 0 <= y < h and 0 <= x < w and grad[y, x] < best:
-                    best = grad[y, x]
-                    by, bx = y, x
-        out[i] = (by, bx)
+    out[move, 0] += first_min[move] // 3 - 1
+    out[move, 1] += first_min[move] % 3 - 1
     return out
 
 
@@ -155,30 +155,14 @@ def slic(img, params: SlicParams = SlicParams(), return_energies: bool = False):
     yy, xx = np.meshgrid(np.arange(h, dtype=np.float64),
                          np.arange(w, dtype=np.float64), indexing="ij")
     m2_over_s2 = (params.compactness / s) ** 2
+    chans = [np.ascontiguousarray(lab[..., k]).ravel() for k in range(3)]
+    feats = [chans[0], chans[1], chans[2], yy.ravel(), xx.ravel()]
     energies = []
 
-    labels = np.zeros((h, w), dtype=np.int32)
+    dist = np.empty((h, w))
+    labels = np.empty((h, w), dtype=np.int32)
     for _ in range(params.iterations):
-        dist = np.full((h, w), np.inf)
-        labels.fill(-1)
-        for c in range(n_centers):
-            cl, ca, cb, cy, cx = centers[c]
-            r0 = max(0, int(np.floor(cy - s)))
-            r1 = min(h, int(np.floor(cy + s)) + 1)
-            c0 = max(0, int(np.floor(cx - s)))
-            c1 = min(w, int(np.floor(cx + s)) + 1)
-            if r0 >= r1 or c0 >= c1:
-                continue
-            win = lab[r0:r1, c0:c1]
-            d_lab2 = ((win[..., 0] - cl) ** 2 + (win[..., 1] - ca) ** 2
-                      + (win[..., 2] - cb) ** 2)
-            d_xy2 = (yy[r0:r1, c0:c1] - cy) ** 2 + (xx[r0:r1, c0:c1] - cx) ** 2
-            d = np.sqrt(d_lab2 + d_xy2 * m2_over_s2)
-            # <= lets the later center claim ties; with symmetric seed grids
-            # this is what splits an even uniform image into equal quadrants
-            upd = d <= dist[r0:r1, c0:c1]
-            dist[r0:r1, c0:c1][upd] = d[upd]
-            labels[r0:r1, c0:c1][upd] = c
+        _assign(chans, centers, s, m2_over_s2, dist, labels)
 
         uncovered = labels < 0
         if uncovered.any():
@@ -194,9 +178,8 @@ def slic(img, params: SlicParams = SlicParams(), return_energies: bool = False):
         energies.append(float((dist ** 2).sum()))
 
         flat = labels.ravel()
-        feats = np.concatenate([lab.reshape(-1, 3), yy.reshape(-1, 1), xx.reshape(-1, 1)], axis=1)
-        sums = np.zeros((n_centers, 5))
-        np.add.at(sums, flat, feats)
+        # bincount adds in pixel order from 0.0, as np.add.at would
+        sums = np.stack([np.bincount(flat, weights=f, minlength=n_centers) for f in feats], axis=1)
         counts = np.bincount(flat, minlength=n_centers).astype(np.float64)
         nonempty = counts > 0
         centers[nonempty] = sums[nonempty] / counts[nonempty, None]
@@ -208,6 +191,65 @@ def slic(img, params: SlicParams = SlicParams(), return_energies: bool = False):
     if return_energies:
         return labels, energies
     return labels
+
+
+# Upper bound on (center, window pixel) entries evaluated at once: each
+# temporary of an assignment pass stays at 1 MiB whatever the image size.
+_ASSIGN_CHUNK = 1 << 17
+
+
+def _assign(chans, centers, s, m2_over_s2, dist, labels):
+    """One SLIC assignment pass, in place on the (H, W) `dist` and `labels`.
+
+    A pixel is a candidate for center c iff it lies in c's window
+    [floor(cy - S), floor(cy + S)] x [floor(cx - S), floor(cx + S)].  Each
+    pixel takes its nearest candidate; on equal distances the highest
+    center index wins, which is what visiting centers in order and
+    updating on `d <= dist` gives (with symmetric seed grids it is what
+    splits an even uniform image into equal quadrants).  The windows are
+    gathered as a padded (centers, wy, wx) block, chunked over centers;
+    pixels no window covers keep dist inf and label -1.
+    """
+    h, w = dist.shape
+    dist, labels = dist.reshape(-1), labels.reshape(-1)  # views
+    dist.fill(np.inf)
+    labels.fill(-1)
+    cy, cx = centers[:, 3], centers[:, 4]
+    r0 = np.maximum(0, np.floor(cy - s).astype(np.int64))
+    r1 = np.minimum(h, np.floor(cy + s).astype(np.int64) + 1)
+    c0 = np.maximum(0, np.floor(cx - s).astype(np.int64))
+    c1 = np.minimum(w, np.floor(cx + s).astype(np.int64) + 1)
+    # centers are means of pixel coordinates, so no window is empty
+    wy, wx = int((r1 - r0).max()), int((c1 - c0).max())
+    rows = r0[:, None] + np.arange(wy)
+    cols = c0[:, None] + np.arange(wx)
+    row_ok, col_ok = rows < r1[:, None], cols < c1[:, None]
+    rows, cols = np.minimum(rows, h - 1), np.minimum(cols, w - 1)
+    dy2 = (rows - cy[:, None]) ** 2
+    dx2 = (cols - cx[:, None]) ** 2
+    ids = np.arange(len(centers), dtype=np.int32)
+    step = max(1, _ASSIGN_CHUNK // (wy * wx))
+    for a in range(0, len(centers), step):
+        sl = slice(a, a + step)
+        valid = row_ok[sl, :, None] & col_ok[sl, None, :]
+        pix = rows[sl, :, None] * w + cols[sl, None, :]
+        cl, ca, cb = (centers[sl, k, None, None] for k in range(3))
+        d_lab2 = ((chans[0][pix] - cl) ** 2 + (chans[1][pix] - ca) ** 2
+                  + (chans[2][pix] - cb) ** 2)
+        d_xy2 = dy2[sl, :, None] + dx2[sl, None, :]
+        d = np.sqrt(d_lab2 + d_xy2 * m2_over_s2)[valid]
+        pix = pix[valid]
+        cid = np.broadcast_to(ids[sl, None, None], valid.shape)[valid]
+        # per pixel: the chunk's minimum, then the highest center reaching it
+        cmin = np.full(h * w, np.inf)
+        np.minimum.at(cmin, pix, d)
+        hit = d == cmin[pix]
+        cbest = np.full(h * w, -1, dtype=np.int32)
+        np.maximum.at(cbest, pix[hit], cid[hit])
+        # later chunks hold higher centers, so they win ties with earlier ones
+        upd = (cbest >= 0) & (cmin <= dist)
+        dist[upd] = cmin[upd]
+        labels[upd] = cbest[upd]
 
 
 def _densify(labels):
@@ -222,33 +264,51 @@ def _densify(labels):
 
 def _connected_components(labels):
     """4-connected components of equal-ID regions, numbered in row-major
-    discovery order.  Returns (component map, component count)."""
+    discovery order.  Returns (component map, component count).
+
+    Run-based labelling: horizontal runs of equal IDs are the nodes, runs
+    in consecutive rows that overlap with equal IDs are the edges, and a
+    vectorised union-find joins each component under its lowest run.
+    Runs are numbered in row-major order, so ranking those roots numbers
+    the components by their first pixel.
+    """
     h, w = labels.shape
-    comp = np.full((h, w), -1, dtype=np.int32)
-    n = 0
-    for sy in range(h):
-        for sx in range(w):
-            if comp[sy, sx] >= 0:
-                continue
-            seg = labels[sy, sx]
-            stack = [(sy, sx)]
-            comp[sy, sx] = n
-            while stack:
-                y, x = stack.pop()
-                if y > 0 and comp[y - 1, x] < 0 and labels[y - 1, x] == seg:
-                    comp[y - 1, x] = n
-                    stack.append((y - 1, x))
-                if y + 1 < h and comp[y + 1, x] < 0 and labels[y + 1, x] == seg:
-                    comp[y + 1, x] = n
-                    stack.append((y + 1, x))
-                if x > 0 and comp[y, x - 1] < 0 and labels[y, x - 1] == seg:
-                    comp[y, x - 1] = n
-                    stack.append((y, x - 1))
-                if x + 1 < w and comp[y, x + 1] < 0 and labels[y, x + 1] == seg:
-                    comp[y, x + 1] = n
-                    stack.append((y, x + 1))
-            n += 1
-    return comp, n
+    flat = labels.ravel()
+    start = np.ones(h * w, dtype=bool)
+    start[1:] = flat[1:] != flat[:-1]
+    start[::w] = True
+    run = (np.cumsum(start) - 1).reshape(h, w)
+    # one edge per pair of overlapping runs: skip a column whose left
+    # neighbour already links the same two runs
+    link = labels[:-1] == labels[1:]
+    up, down = run[:-1], run[1:]
+    link[:, 1:] &= ~(link[:, :-1] & (up[:, 1:] == up[:, :-1]) & (down[:, 1:] == down[:, :-1]))
+    parent = _union_find(int(run[-1, -1]) + 1, up[link], down[link])
+    is_root = parent == np.arange(parent.size)
+    rank = (np.cumsum(is_root) - 1).astype(np.int32)
+    return rank[parent][run], int(is_root.sum())
+
+
+def _union_find(n, a, b):
+    """Roots of n nodes joined by the edges (a, b): every node ends up
+    pointing at the lowest node of its component.  Each round hooks the
+    higher root of every edge whose ends still differ onto the lowest root
+    it touches, then jumps pointers until all nodes point at roots.
+    Parents only decrease, so no cycle can form."""
+    parent = np.arange(n)
+    while a.size:
+        ra, rb = parent[a], parent[b]
+        pending = ra != rb
+        a, b, ra, rb = a[pending], b[pending], ra[pending], rb[pending]
+        if not a.size:
+            break
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    return parent
 
 
 def enforce_connectivity(sp, min_size: int) -> np.ndarray:
@@ -259,15 +319,17 @@ def enforce_connectivity(sp, min_size: int) -> np.ndarray:
     Every output segment is one 4-connected component by construction.
     """
     sp = np.asarray(sp)
+    if sp.size == 0:
+        return np.zeros(sp.shape, dtype=np.int32)
     comp, n = _connected_components(sp)
 
-    sizes = np.bincount(comp.ravel(), minlength=n).astype(np.int64)
+    sizes = np.bincount(comp.ravel(), minlength=n).tolist()
     shares = [dict() for _ in range(n)]
-    for a, b in _boundary_pairs(comp):
-        shares[a][b] = shares[a].get(b, 0) + 1
-        shares[b][a] = shares[b].get(a, 0) + 1
+    for a, b, cnt in zip(*_boundary_counts(comp, n)):
+        shares[a][b] = cnt
+        shares[b][a] = cnt
 
-    parent = np.arange(n)
+    parent = list(range(n))
 
     def find(i):
         while parent[i] != i:
@@ -282,44 +344,36 @@ def enforce_connectivity(sp, min_size: int) -> np.ndarray:
             r = find(i)
             if sizes[r] >= min_size or not shares[r]:
                 continue
-            best_share, best_root = 0, -1
-            for nb, cnt in shares[r].items():
-                if cnt > best_share or (cnt == best_share and (best_root < 0 or nb < best_root)):
-                    best_share, best_root = cnt, nb
-            target = best_root
+            target = max(shares[r].items(), key=lambda kv: (kv[1], -kv[0]))[0]
             # merge r into target: keep the smaller id as the root so ties
             # stay deterministic across passes
             root = min(r, target)
             other = max(r, target)
             parent[other] = root
             sizes[root] += sizes[other]
-            merged = shares[root]
+            # shares is symmetric, so other's neighbours are its own keys
             for nb, cnt in shares[other].items():
-                if nb == root:
-                    continue
-                merged[nb] = merged.get(nb, 0) + cnt
-            merged.pop(other, None)
+                del shares[nb][other]
+                if nb != root:
+                    shares[root][nb] = shares[root].get(nb, 0) + cnt
+                    shares[nb][root] = shares[nb].get(root, 0) + cnt
             shares[other] = {}
-            for j in range(n):
-                if shares[j]:
-                    if other in shares[j]:
-                        cnt = shares[j].pop(other)
-                        if j != root:
-                            shares[j][root] = shares[j].get(root, 0) + cnt
-            shares[root].pop(root, None)
             changed = True
 
-    roots = np.array([find(i) for i in range(n)], dtype=np.int32)
-    return _densify(roots[comp])
+    # a root is the lowest component of its segment, hence the first one
+    # met in row-major order: ranking the roots renumbers densely
+    roots = np.array([find(i) for i in range(n)])
+    rank = np.cumsum(roots == np.arange(n)) - 1
+    return rank.astype(np.int32)[roots][comp]
 
 
-def _boundary_pairs(comp):
-    """Unordered 4-adjacent component pairs, one per shared edge."""
+def _boundary_counts(comp, n):
+    """Unordered 4-adjacent component pairs (a < b) and the number of
+    edges each pair shares, as three lists."""
     pairs = []
-    right = comp[:, :-1] != comp[:, 1:]
-    for y, x in zip(*np.nonzero(right)):
-        pairs.append((int(comp[y, x]), int(comp[y, x + 1])))
-    down = comp[:-1, :] != comp[1:, :]
-    for y, x in zip(*np.nonzero(down)):
-        pairs.append((int(comp[y, x]), int(comp[y + 1, x])))
-    return pairs
+    for x, y in ((comp[:, :-1], comp[:, 1:]), (comp[:-1, :], comp[1:, :])):
+        diff = x != y
+        x, y = x[diff].astype(np.int64), y[diff].astype(np.int64)
+        pairs.append(np.minimum(x, y) * n + np.maximum(x, y))
+    keys, counts = np.unique(np.concatenate(pairs), return_counts=True)
+    return (keys // n).tolist(), (keys % n).tolist(), counts.tolist()

@@ -98,6 +98,15 @@ class TestThresholdsCmd:
         assert main(["--quiet", "thresholds", str(d), "--p", "0.5",
                      "--out", str(tmp_path / "t.json")]) == 2
 
+    def test_nan_map_rejected(self, tmp_path):
+        d = self.make_probs(tmp_path)
+        p = tensorio.read_tensor(os.path.join(d, "p1.tnsr"))
+        p[2, 3, 0] = np.nan
+        tensorio.write_tensor(os.path.join(d, "p1.tnsr"), p, tensorio.DTYPE_F32)
+        out = str(tmp_path / "t.json")
+        assert main(["--quiet", "thresholds", d, "--p", "0.4", "--out", out]) == 2
+        assert not os.path.exists(out)
+
 
 class TestSlicCmd:
     def test_writes_u16_map(self, tiny_dataset, tmp_path):
@@ -155,6 +164,21 @@ class TestPseudolabelCmd:
                      thr_path, img_path, "--out", out]) == 0
         assert np.all(tensorio.read_tensor(out) == IGNORE)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_probs_rejected(self, tiny_dataset, tmp_path, bad):
+        cfg, data_dir, _ = tiny_dataset
+        img_path = os.path.join(data_dir, "target", "images", "im_0000.tnsr")
+        probs = np.full((12, 12, 2), 0.5, dtype=np.float32)
+        probs[0, 0] = (bad, 0.5)
+        probs_path = str(tmp_path / "p.tnsr")
+        tensorio.write_tensor(probs_path, probs, tensorio.DTYPE_F32)
+        thr_path = str(tmp_path / "t.json")
+        json.dump({"K": 2, "lambdas": [0.4, 0.4]}, open(thr_path, "w"))
+        out = str(tmp_path / "m.tnsr")
+        assert main(["--config", cfg, "--quiet", "pseudolabel", probs_path,
+                     thr_path, img_path, "--out", out]) == 2
+        assert not os.path.exists(out)
+
 
 class TestTrainCmd:
     def test_outputs_and_zero_epochs(self, tiny_dataset, tmp_path):
@@ -182,6 +206,22 @@ class TestTrainCmd:
         assert bank.shape == (2, 2)
         side = json.load(open(os.path.join(out, "models", "centroids_source.json")))
         assert side["gamma"] == 0.7 and side["steps"] > 0
+
+    @pytest.mark.parametrize("name", ["../../../outside", "..", "", "a/b", "a\\b"])
+    def test_dataset_names_stay_inside(self, tiny_dataset, tmp_path, name):
+        cfg, data_dir, _ = tiny_dataset
+        # a readable tensor where "../../../outside" would resolve
+        src = os.path.join(data_dir, "target", "images", "im_0000.tnsr")
+        with open(src, "rb") as fh, open(tmp_path / "outside.tnsr", "wb") as out:
+            out.write(fh.read())
+        labels_path = os.path.join(data_dir, "target", "labels.json")
+        doc = json.load(open(labels_path))
+        doc["files"][0] = name
+        json.dump(doc, open(labels_path, "w"))
+        out = str(tmp_path / "run")
+        assert main(["--config", cfg, "--quiet", "train", data_dir, "--out", out,
+                     "--epochs", "1"]) == 2
+        assert not os.path.exists(os.path.join(out, "log.jsonl"))
 
     def test_ablation_flags(self, tiny_dataset, tmp_path):
         cfg, data_dir, _ = tiny_dataset

@@ -29,6 +29,12 @@ class TestValidateProbMap:
         with pytest.raises(OutOfRangeError):
             validate_prob_map(np.array([[[1.2, -0.2]]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # NaN fails every comparison, so the range check alone let it pass
+        with pytest.raises(OutOfRangeError):
+            validate_prob_map(np.array([[[0.5, 0.5], [bad, 0.5]]]))
+
     def test_tolerance_boundary(self):
         validate_prob_map(np.array([[[0.5, 0.50005]]]))
         with pytest.raises(NotNormalizedError):
