@@ -426,8 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Self-training semantic transfer toolkit")
     parser.add_argument("--config", default=None, help="flat JSON config file")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for interface stability; execution is single-process")
     parser.add_argument("--quiet", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 

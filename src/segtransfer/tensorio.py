@@ -73,10 +73,17 @@ def tensor_bytes(arr, dtype_code: int = None) -> bytes:
     if not (1 <= arr.ndim <= 4):
         raise TensorFormatError(f"ndim must be 1..4, got {arr.ndim}")
     np_dtype = _CODE_TO_NP[dtype_code]
+    cast_float = arr.dtype.kind == "f" and arr.dtype != np_dtype
     if np_dtype.kind == "u":
-        if np.any(np.asarray(arr) < 0) or np.any(np.asarray(arr) > np.iinfo(np_dtype).max):
+        # NaN != trunc(NaN), so this also rejects NaN
+        if cast_float and np.any(arr != np.trunc(arr)):
+            raise TensorFormatError(f"non-integral values for dtype code {dtype_code}")
+        if np.any(arr < 0) or np.any(arr > np.iinfo(np_dtype).max):
             raise TensorFormatError(f"values out of range for dtype code {dtype_code}")
-    payload = np.ascontiguousarray(arr).astype(np_dtype, copy=False)
+    with np.errstate(over="ignore"):  # overflow is detected below
+        payload = np.ascontiguousarray(arr).astype(np_dtype, copy=False)
+    if cast_float and np_dtype.kind == "f" and np.any(np.isinf(payload) & np.isfinite(arr)):
+        raise TensorFormatError(f"finite values overflow dtype code {dtype_code}")
     header = MAGIC + struct.pack("<BBB", VERSION, dtype_code, arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
     return header + payload.tobytes()

@@ -21,11 +21,10 @@ import numpy as np
 from .core import IGNORE, argmax_map
 from .errors import DimensionMismatchError, InvalidConfigError
 from .losses import (
+    PROB_CLAMP,
     LossWeights,
     adversarial_loss_for_segmenter,
-    classification_loss,
     discriminator_loss,
-    segmentation_loss,
     total_loss,
 )
 from .metrics import ConfusionMatrix, accumulate, summary
@@ -33,7 +32,7 @@ from .pseudo_label import generate
 from .rng import SplitMix64
 from .superpixel import SlicParams, slic
 from .thresholds import CurriculumSchedule, determine_lambdas, portion_at
-from .transfer import BatchCentroids, CentroidBank, batch_centroids, srt_loss, update_bank
+from .transfer import BatchCentroids, CentroidBank, srt_loss, update_bank
 
 LESION_RATE = 0.75
 BACKGROUND_NOISE = 8.0
@@ -165,47 +164,43 @@ def _with_bias(feats_flat):
     return np.concatenate([feats_flat, np.ones((n, 1))], axis=1)
 
 
-def _softmax(z):
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def segmenter_forward(seg: ToySegmenter, feats) -> np.ndarray:
-    """Per-pixel affine map + softmax -> (H, W, K) probability map."""
-    feats = np.asarray(feats, dtype=np.float64)
-    h, w, d = feats.shape
+def _check_feature_dim(seg: ToySegmenter, d: int):
     if d + 1 != seg.weights.shape[0]:
         raise DimensionMismatchError(
             f"feature dim {d} incompatible with weights {seg.weights.shape}")
-    logits = _with_bias(feats.reshape(h * w, d)) @ seg.weights
-    return _softmax(logits).reshape(h, w, seg.num_classes)
 
 
-def classifier_forward(clf: ToyClassifier, feats):
-    """Mean-pool features then logistic.  Returns (pred, pooled)."""
+def _class_major_probs(seg: ToySegmenter, feats_flat) -> np.ndarray:
+    """(N, D) features -> (K, N) softmax probabilities.
+
+    Class-major, so that every reduction over the K classes or over the
+    pixels of one image runs along long contiguous rows.
+    """
+    z = seg.weights[:-1].T @ feats_flat.T
+    z += seg.weights[-1][:, None]
+    z -= z.max(axis=0)
+    np.exp(z, out=z)
+    z /= z.sum(axis=0)
+    return z
+
+
+def segmenter_forward(seg: ToySegmenter, feats) -> np.ndarray:
+    """Per-pixel affine map + softmax -> (H, W, K) probability map (a
+    transposed view of the class-major result)."""
     feats = np.asarray(feats, dtype=np.float64)
-    pooled = feats.reshape(-1, feats.shape[-1]).mean(axis=0)
-    z = pooled @ clf.weights[:-1] + clf.weights[-1]
-    return float(_sigmoid(z)), pooled
+    h, w, d = feats.shape
+    _check_feature_dim(seg, d)
+    return _class_major_probs(seg, feats.reshape(h * w, d)).T.reshape(h, w, seg.num_classes)
 
 
-def prob_map_stats(probs) -> np.ndarray:
-    """Pooled statistics of a softmax map: per-class mean, max, and
-    spatial variance, concatenated to a (3K,) vector."""
-    flat = probs.reshape(-1, probs.shape[-1])
-    return np.concatenate([flat.mean(axis=0), flat.max(axis=0), flat.var(axis=0)])
-
-
-def discriminator_forward(disc: ToyDiscriminator, probs):
-    """Logistic over pooled softmax statistics.  Returns (score, stats)."""
-    stats = prob_map_stats(probs)
-    z = stats @ disc.weights[:-1] + disc.weights[-1]
-    return float(_sigmoid(z)), stats
+def _map_stats(probs) -> np.ndarray:
+    """(K, B, HW) class-major maps -> (B, 3K) discriminator inputs: per
+    class the spatial mean, max and variance of each map."""
+    return np.concatenate([probs.mean(axis=2), probs.max(axis=2), probs.var(axis=2)]).T
 
 
 def refine_probs_by_classification(probs, lesion_prob: float) -> np.ndarray:
@@ -227,8 +222,12 @@ def refine_probs_by_classification(probs, lesion_prob: float) -> np.ndarray:
 class BatchData:
     """One optimization step's worth of images, pre-featurized.
 
-    feats are (H, W, D); masks are (H, W) uint16 (pseudo labels for the
-    target side); labels are binary image-level labels.
+    feats are (H, W, D), one size for all images; masks are (H, W)
+    uint16 (pseudo labels for the target side); labels are binary
+    image-level labels.  Each field is a list with one entry per image,
+    or one array stacked along axis 0.  pooled, when given, holds the
+    images' mean-pooled feats, source first, as (n_s + n_t, D);
+    otherwise it is computed from the feats.
     """
     src_feats: list
     src_masks: list
@@ -236,24 +235,37 @@ class BatchData:
     tgt_feats: list
     tgt_masks: list
     tgt_labels: list
+    pooled: np.ndarray = None
+
+
+def _domain_sum(per_image, image_n) -> float:
+    """sum_i per_image[i] / image_n[i], added image by image in batch
+    order, so a batch's loss depends only on its images' own terms."""
+    return float(np.cumsum(per_image / image_n)[-1])
 
 
 @dataclass
 class ForwardState:
+    """Losses, candidate banks, and the intermediates of backward_all.
+
+    Image arrays hold the n_s source images first, then the target ones;
+    pixel arrays are class-major over the images' stacked pixels.
+    """
     losses: dict
     new_bank_s: CentroidBank
     new_bank_t: CentroidBank
-    # intermediates for backward
-    src_probs: list
-    tgt_probs: list
-    src_pooled: list
-    tgt_pooled: list
-    src_cls: list
-    tgt_cls: list
-    src_disc: list
-    tgt_disc: list
+    n_s: int
+    image_n: np.ndarray  # (B,) size of each image's domain, n_s or n_t
+    feats: np.ndarray    # (B*HW, D)
+    probs: np.ndarray    # (K, B*HW) segmenter softmax
+    pixel_w: np.ndarray  # (B*HW,) 1 / (HW * image_n) where labeled, else 0
+    target: np.ndarray   # (K, B*HW) one-hot labels times pixel_w
+    pooled: np.ndarray   # (B, D) classifier inputs
+    labels: np.ndarray   # (B,) image-level labels
+    cls: np.ndarray      # (B,) classifier outputs
+    stats: np.ndarray    # (B, 3K) discriminator inputs; None without use_adv
+    disc: np.ndarray     # (B,) discriminator outputs; None without use_adv
     srt_grads: tuple
-    batch: BatchData
     weights: LossWeights
     use_adv: bool
     use_srt: bool
@@ -264,41 +276,54 @@ def batch_forward(models: ToyModels, batch: BatchData, bank_s: CentroidBank,
                   use_adv: bool = True, use_srt: bool = True) -> ForwardState:
     """Forward all images of one batch and assemble every loss term.
 
-    Candidate banks are the old banks advanced by this batch's centroids;
-    they are returned for the caller to commit after the gradient step.
+    Every loss is the mean over each domain's images of a per-image
+    term.  Candidate banks are the old banks advanced by this batch's
+    centroids; they are returned for the caller to commit after the
+    gradient step.
     """
     k = models.segmenter.num_classes
     n_s, n_t = len(batch.src_feats), len(batch.tgt_feats)
+    n_img = n_s + n_t
+    feats = [*batch.src_feats, *batch.tgt_feats]
+    masks = [*batch.src_masks, *batch.tgt_masks]
+    h, w, d = np.shape(feats[0])
+    if (len(masks) != n_img or any(np.shape(f) != (h, w, d) for f in feats)
+            or any(np.shape(m) != (h, w) for m in masks)):
+        raise DimensionMismatchError("the images and masks of a batch must share one size")
+    _check_feature_dim(models.segmenter, d)
+    hw = h * w
+    feats = np.concatenate(feats).astype(np.float64, copy=False).reshape(n_img * hw, d)
+    mask = np.concatenate(masks).astype(np.uint16, copy=False).ravel()
+    image_n = np.repeat([float(n_s), float(n_t)], [n_s, n_t])
+    labels = np.array([*batch.src_labels, *batch.tgt_labels], dtype=np.float64)
 
-    src_probs, src_pooled, src_cls, src_disc = [], [], [], []
-    l_c = l_s = 0.0
-    cent_s = np.zeros((k, k))
-    for feats, mask, label in zip(batch.src_feats, batch.src_masks, batch.src_labels):
-        probs = segmenter_forward(models.segmenter, feats)
-        pred, pooled = classifier_forward(models.classifier, feats)
-        l_c += classification_loss(pred, label)[0] / n_s
-        l_s += segmentation_loss(probs, mask, weights.lambda_global)[0] / n_s
-        cent_s += batch_centroids(probs, mask, k).values / n_s
-        d, _ = discriminator_forward(models.discriminator, probs)
-        src_probs.append(probs)
-        src_pooled.append(pooled)
-        src_cls.append(pred)
-        src_disc.append(d)
+    pooled = batch.pooled
+    if pooled is None:
+        pooled = feats.reshape(n_img, hw, d).mean(axis=1)
+    w1 = models.classifier.weights
+    cls = _sigmoid(pooled @ w1[:-1] + w1[-1])
+    pc = np.clip(cls, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    l_c = _domain_sum(-(labels * np.log(pc) + (1.0 - labels) * np.log(1.0 - pc)), image_n)
 
-    tgt_probs, tgt_pooled, tgt_cls, tgt_disc = [], [], [], []
-    cent_t = np.zeros((k, k))
-    for feats, mask, label in zip(batch.tgt_feats, batch.tgt_masks, batch.tgt_labels):
-        probs = segmenter_forward(models.segmenter, feats)
-        pred, pooled = classifier_forward(models.classifier, feats)
-        l_c += classification_loss(pred, label)[0] / n_t
-        l_s += segmentation_loss(probs, mask, weights.lambda_global)[0] / n_t
-        cent_t += batch_centroids(probs, mask, k).values / n_t
-        d, _ = discriminator_forward(models.discriminator, probs)
-        tgt_probs.append(probs)
-        tgt_pooled.append(pooled)
-        tgt_cls.append(pred)
-        tgt_disc.append(d)
+    probs = _class_major_probs(models.segmenter, feats)
 
+    # masked cross-entropy over each image's H*W pixels
+    labeled = mask != IGNORE
+    if np.any(labeled & (mask >= k)):
+        raise DimensionMismatchError(f"label {int(mask[labeled].max())} >= num_classes {k}")
+    onehot = mask == np.arange(k)[:, None]  # IGNORE matches no class
+    per_image = labeled.reshape(n_img, hw)
+    pixel_w = (per_image / (hw * image_n)[:, None]).ravel()
+    target = onehot * pixel_w
+    p_label = np.clip((probs * onehot).sum(axis=0), PROB_CLAMP, 1.0 - PROB_CLAMP)
+    nll = (-np.log(p_label) * labeled).reshape(n_img, hw)
+    l_s = _domain_sum((nll.sum(axis=1) - weights.lambda_global * per_image.sum(axis=1)) / hw,
+                      image_n)
+
+    # per-class sums of the softmax over labeled pixels, over H*W
+    split = n_s * hw
+    cent_s = target[:, :split] @ probs[:, :split].T
+    cent_t = target[:, split:] @ probs[:, split:].T
     new_bank_s = update_bank(bank_s, BatchCentroids(cent_s, np.zeros(k, dtype=np.int64)))
     new_bank_t = update_bank(bank_t, BatchCentroids(cent_t, np.zeros(k, dtype=np.int64)))
 
@@ -307,9 +332,13 @@ def batch_forward(models: ToyModels, batch: BatchData, bank_s: CentroidBank,
     else:
         l_srt, grad_cs, grad_ct = 0.0, np.zeros((k, k)), np.zeros((k, k))
 
+    stats = disc = None
     if use_adv:
-        l_adv, _ = adversarial_loss_for_segmenter(np.array(tgt_disc))
-        l_disc, _, _ = discriminator_loss(np.array(src_disc), np.array(tgt_disc))
+        stats = _map_stats(probs.reshape(k, n_img, hw))
+        wd = models.discriminator.weights
+        disc = _sigmoid(stats @ wd[:-1] + wd[-1])
+        l_adv, _ = adversarial_loss_for_segmenter(disc[n_s:])
+        l_disc, _, _ = discriminator_loss(disc[:n_s], disc[n_s:])
     else:
         l_adv, l_disc = 0.0, 0.0
 
@@ -326,58 +355,11 @@ def batch_forward(models: ToyModels, batch: BatchData, bank_s: CentroidBank,
     }
     return ForwardState(
         losses=losses, new_bank_s=new_bank_s, new_bank_t=new_bank_t,
-        src_probs=src_probs, tgt_probs=tgt_probs,
-        src_pooled=src_pooled, tgt_pooled=tgt_pooled,
-        src_cls=src_cls, tgt_cls=tgt_cls,
-        src_disc=src_disc, tgt_disc=tgt_disc,
-        srt_grads=(grad_cs, grad_ct), batch=batch, weights=weights,
+        n_s=n_s, image_n=image_n, feats=feats, probs=probs, pixel_w=pixel_w,
+        target=target, pooled=pooled, labels=labels, cls=cls, stats=stats,
+        disc=disc, srt_grads=(grad_cs, grad_ct), weights=weights,
         use_adv=use_adv, use_srt=use_srt,
     )
-
-
-def _softmax_jacobian_chain(probs_flat, g_probs):
-    """d loss / d logits given d loss / d probs, per pixel."""
-    inner = (g_probs * probs_flat).sum(axis=1, keepdims=True)
-    return probs_flat * (g_probs - inner)
-
-
-def _seg_image_grad(feats, probs, mask, k, domain_n, mu, srt_grad,
-                    eta_dcoef, disc_w):
-    """d (L_S + eta*L_adv + mu*L_SRT) / d logits for one image, times the
-    domain averaging factor, returned as a (D+1, K) weight gradient."""
-    h, w = mask.shape
-    hw = h * w
-    flat_p = probs.reshape(hw, k)
-    flat_m = mask.ravel()
-    labeled = flat_m != IGNORE
-
-    g_z = np.zeros((hw, k))
-    # masked cross-entropy: softmax composite
-    if labeled.any():
-        idx = np.nonzero(labeled)[0]
-        cls = flat_m[idx].astype(np.int64)
-        onehot = np.zeros((idx.size, k))
-        onehot[np.arange(idx.size), cls] = 1.0
-        g_z[idx] += (flat_p[idx] - onehot) / (hw * domain_n)
-
-    # terms that differentiate through the raw probabilities
-    g_p = np.zeros((hw, k))
-    if mu != 0.0 and labeled.any():
-        g_p[idx] += mu * srt_grad[cls] / (hw * domain_n)
-    if eta_dcoef != 0.0:
-        w_mean = disc_w[0:k]
-        w_max = disc_w[k:2 * k]
-        w_var = disc_w[2 * k:3 * k]
-        mean_k = flat_p.mean(axis=0)
-        g_p += eta_dcoef * (w_mean / hw)[None, :]
-        arg = np.argmax(flat_p, axis=0)
-        g_p[arg, np.arange(k)] += eta_dcoef * w_max
-        g_p += eta_dcoef * w_var[None, :] * 2.0 * (flat_p - mean_k[None, :]) / hw
-    if np.any(g_p):
-        g_z += _softmax_jacobian_chain(flat_p, g_p)
-
-    fb = _with_bias(feats.reshape(hw, -1))
-    return fb.T @ g_z
 
 
 def backward_all(models: ToyModels, state: ForwardState) -> dict:
@@ -389,37 +371,48 @@ def backward_all(models: ToyModels, state: ForwardState) -> dict:
     d L_disc with the segmenter outputs frozen -- the standard
     alternating scheme for the adversarial pair.
     """
-    batch, weights = state.batch, state.weights
-    k = models.segmenter.num_classes
-    n_s, n_t = len(batch.src_feats), len(batch.tgt_feats)
+    weights, n_s = state.weights, state.n_s
+    probs, target = state.probs, state.target
+    k, n_pix = probs.shape
+    n_img = state.image_n.size
+    n_t, hw = n_img - n_s, n_pix // n_img
+    split = n_s * hw
     eta = weights.eta if state.use_adv else 0.0
     mu = weights.mu if state.use_srt else 0.0
-    grad_cs, grad_ct = state.srt_grads
-    disc_w = models.discriminator.weights[:-1]
 
-    g_w1 = np.zeros_like(models.classifier.weights)
-    for pred, pooled, label in zip(state.src_cls, state.src_pooled, batch.src_labels):
-        g_w1 += (pred - label) / n_s * np.concatenate([pooled, [1.0]])
-    for pred, pooled, label in zip(state.tgt_cls, state.tgt_pooled, batch.tgt_labels):
-        g_w1 += (pred - label) / n_t * np.concatenate([pooled, [1.0]])
+    g_cls = (state.cls - state.labels) / state.image_n
+    g_w1 = np.append(g_cls @ state.pooled, g_cls.sum())
 
-    g_w2 = np.zeros_like(models.segmenter.weights)
-    for feats, probs, mask in zip(batch.src_feats, state.src_probs, batch.src_masks):
-        g_w2 += _seg_image_grad(feats, probs, mask, k, n_s, mu, grad_cs, 0.0, disc_w)
-    for feats, probs, mask, d in zip(batch.tgt_feats, state.tgt_probs,
-                                     batch.tgt_masks, state.tgt_disc):
-        eta_dcoef = eta * d / n_t if state.use_adv else 0.0
-        g_w2 += _seg_image_grad(feats, probs, mask, k, n_t, mu, grad_ct,
-                                eta_dcoef, disc_w)
+    # d / d logits of the masked cross-entropy (softmax composite) ...
+    g_z = probs * state.pixel_w - target
+    # ... plus the terms that differentiate through the probabilities
+    if mu != 0.0 or eta != 0.0:
+        g_p = np.zeros((k, n_pix))
+        if mu != 0.0:
+            grad_cs, grad_ct = state.srt_grads
+            g_p[:, :split] = mu * (grad_cs.T @ target[:, :split])
+            g_p[:, split:] = mu * (grad_ct.T @ target[:, split:])
+        if eta != 0.0:
+            disc_w = models.discriminator.weights[:-1]
+            w_mean = disc_w[0:k, None, None]
+            w_max = disc_w[k:2 * k, None]
+            w_var = disc_w[2 * k:3 * k, None, None]
+            coef = (eta * state.disc[n_s:] / n_t)[None, :, None]  # (1, n_t, 1)
+            p_t = probs.reshape(k, n_img, hw)[:, n_s:]
+            g_t = g_p.reshape(k, n_img, hw)[:, n_s:]  # a view: writes land in g_p
+            mean = state.stats[n_s:, :k].T[..., None]
+            g_t += coef * (w_mean / hw)
+            arg = p_t.argmax(axis=2)  # first maximum on ties, as np.argmax
+            g_t[np.arange(k)[:, None], np.arange(n_t), arg] += coef[..., 0] * w_max
+            g_t += coef * w_var * 2.0 * (p_t - mean) / hw
+        g_z += probs * (g_p - (g_p * probs).sum(axis=0))
+
+    g_w2 = np.vstack([state.feats.T @ g_z.T, g_z.sum(axis=1)])
 
     g_wd = np.zeros_like(models.discriminator.weights)
     if state.use_adv:
-        for probs, d in zip(state.tgt_probs, state.tgt_disc):
-            stats = prob_map_stats(probs)
-            g_wd += (d - 1.0) / n_t * np.concatenate([stats, [1.0]])
-        for probs, d in zip(state.src_probs, state.src_disc):
-            stats = prob_map_stats(probs)
-            g_wd += d / n_s * np.concatenate([stats, [1.0]])
+        g_d = np.concatenate([state.disc[:n_s], state.disc[n_s:] - 1.0]) / state.image_n
+        g_wd = np.append(g_d @ state.stats, g_d.sum())
 
     return {"classifier": g_w1, "segmenter": g_w2, "discriminator": g_wd}
 
@@ -507,34 +500,54 @@ def _all_ignore(shape):
     return np.full(shape, IGNORE, dtype=np.uint16)
 
 
-def _target_probs(models, feats_list, cls_preds, refine):
-    out = []
-    for feats, pred in zip(feats_list, cls_preds):
-        probs = segmenter_forward(models.segmenter, feats)
-        if refine:
-            probs = refine_probs_by_classification(probs, pred)
-        out.append(probs)
+def _stack_features(images) -> np.ndarray:
+    """pixel_features of every image, written in place into one
+    (N, H, W, D) array."""
+    first = pixel_features(images[0])
+    feats = np.empty((len(images),) + first.shape)
+    feats[0] = first
+    for i in range(1, len(images)):
+        f = pixel_features(images[i])
+        if f.shape != first.shape:
+            raise DimensionMismatchError(
+                f"image {i} has shape {f.shape[:2]}, image 0 {first.shape[:2]}")
+        feats[i] = f
+    return feats
+
+
+def _target_probs(models, feats, pooled, refine):
+    """Probability maps of the target images under the current weights."""
+    out = [segmenter_forward(models.segmenter, f) for f in feats]
+    if refine:
+        w = models.classifier.weights
+        preds = _sigmoid(pooled @ w[:-1] + w[-1])
+        out = [refine_probs_by_classification(p, q) for p, q in zip(out, preds)]
     return out
 
 
 def train(cfg: TrainConfig, data: dict) -> TrainResult:
-    """Run the full curriculum on a gen_synthetic-style dataset."""
+    """Run the full curriculum on a gen_synthetic-style dataset.
+
+    All images must share one size.  Features and their mean-pooled
+    classifier inputs never change, so they are computed once.
+    """
     k = int(data["num_classes"])
     src, tgt = data["source"], data["target"]
     n_src, n_tgt = len(src["images"]), len(tgt["images"])
 
-    src_feats = [pixel_features(im) for im in src["images"]]
-    tgt_feats = [pixel_features(im) for im in tgt["images"]]
-    feature_dim = src_feats[0].shape[2]
-    shape = src_feats[0].shape[:2]
+    feats = _stack_features([*src["images"], *tgt["images"]])
+    shape, feature_dim = feats.shape[1:3], feats.shape[3]
+    pooled = feats.reshape(n_src + n_tgt, -1, feature_dim).mean(axis=1)
+    tgt_feats, tgt_pooled = feats[n_src:], pooled[n_src:]
 
     models = init_models(feature_dim, k, cfg.seed)
     rng = SplitMix64(cfg.seed).spawn(100)
 
-    slic_maps = None
+    slic_maps = probs_t = None
     if cfg.use_pl:
         # images never change, so the spatial priors are computed once
         slic_maps = [slic(im, cfg.slic) for im in tgt["images"]]
+        probs_t = _target_probs(models, tgt_feats, tgt_pooled, cfg.refine_by_classification)
 
     bank_s = CentroidBank(num_classes=k, dim=k, gamma=cfg.gamma)
     bank_t = CentroidBank(num_classes=k, dim=k, gamma=cfg.gamma)
@@ -546,20 +559,17 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
     for epoch in range(cfg.epochs):
         p = portion_at(cfg.schedule, epoch)
 
-        cls_preds = [classifier_forward(models.classifier, f)[0] for f in tgt_feats]
         if cfg.use_pl:
-            probs_all = _target_probs(models, tgt_feats, cls_preds,
-                                      cfg.refine_by_classification)
-            thr = determine_lambdas(probs_all, p)
+            # probs_t holds the maps of the current weights: the previous
+            # epoch's evaluation, or the initial forward
+            thr = determine_lambdas(probs_t, p)
             pseudo_masks = []
             for j in range(n_tgt):
-                m = generate(probs_all[j], thr, slic_maps[j])
+                m = generate(probs_t[j], thr, slic_maps[j])
                 if cfg.gate_by_image_label and tgt["image_labels"][j] == 0:
                     m = m.copy()
                     m[(m != IGNORE) & (m >= 1)] = IGNORE
                 pseudo_masks.append(m)
-        else:
-            pseudo_masks = [_all_ignore(shape) for _ in range(n_tgt)]
         selected = sum(int((m != IGNORE).sum()) for m in pseudo_masks)
         pl_fraction = selected / float(n_tgt * shape[0] * shape[1])
 
@@ -575,12 +585,13 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
             sel_t = [order_t[(pos_t + i) % n_tgt] for i in range(len(sel_s))]
             pos_t += len(sel_s)
             batch = BatchData(
-                src_feats=[src_feats[i] for i in sel_s],
+                src_feats=[feats[i] for i in sel_s],
                 src_masks=[src["masks"][i] for i in sel_s],
                 src_labels=[src["image_labels"][i] for i in sel_s],
                 tgt_feats=[tgt_feats[j] for j in sel_t],
                 tgt_masks=[pseudo_masks[j] for j in sel_t],
                 tgt_labels=[tgt["image_labels"][j] for j in sel_t],
+                pooled=np.concatenate([pooled[sel_s], tgt_pooled[sel_t]]),
             )
             state = batch_forward(models, batch, bank_s, bank_t, cfg.weights,
                                   use_adv=cfg.use_adv, use_srt=cfg.use_srt)
@@ -599,11 +610,9 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
             for key in sums:
                 sums[key] += state.losses[key]
 
-        cls_preds = [classifier_forward(models.classifier, f)[0] for f in tgt_feats]
-        eval_probs = _target_probs(models, tgt_feats, cls_preds,
-                                   cfg.refine_by_classification)
+        probs_t = _target_probs(models, tgt_feats, tgt_pooled, cfg.refine_by_classification)
         cm = ConfusionMatrix(k)
-        for probs, gt in zip(eval_probs, tgt["eval_masks"]):
+        for probs, gt in zip(probs_t, tgt["eval_masks"]):
             accumulate(cm, argmax_map(probs), gt)
         m = summary(cm)
 

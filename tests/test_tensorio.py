@@ -84,3 +84,25 @@ class TestErrors:
         tensorio.write_tensor(path, np.zeros(3, dtype=np.uint8))
         leftovers = [p for p in tmp_path.iterdir() if p.name != "a.tnsr"]
         assert leftovers == []
+
+
+class TestNoSilentNarrowing:
+    @pytest.mark.parametrize("value", [np.nan, 1.5, -0.25, np.inf])
+    @pytest.mark.parametrize("code", [tensorio.DTYPE_U16, tensorio.DTYPE_U8])
+    def test_unsigned_rejects_nan_and_fractions(self, value, code):
+        with pytest.raises(TensorFormatError):
+            tensorio.tensor_bytes(np.array([0.0, value]), code)
+
+    def test_unsigned_accepts_integral_floats(self):
+        blob = tensorio.tensor_bytes(np.array([0.0, 3.0, 65535.0]), tensorio.DTYPE_U16)
+        np.testing.assert_array_equal(tensorio.tensor_from_bytes(blob), [0, 3, 65535])
+
+    @pytest.mark.parametrize("value", [1e39, -3.5e38])
+    def test_float32_rejects_finite_overflow(self, value):
+        with pytest.raises(TensorFormatError):
+            tensorio.tensor_bytes(np.array([1.0, value]))
+
+    def test_float32_keeps_non_finite_values(self):
+        arr = np.array([np.nan, np.inf, -np.inf, 1e-50])
+        back = tensorio.tensor_from_bytes(tensorio.tensor_bytes(arr, tensorio.DTYPE_F32))
+        np.testing.assert_array_equal(back, arr.astype(np.float32))
