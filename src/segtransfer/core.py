@@ -9,6 +9,10 @@ All spatial data is row-major numpy with channel-last layout:
 * feature map     -- (H, W, D) floats
 
 Class indices are 0-based.  All operations here are pure functions.
+Reductions over the classes run on the class-major (K, H, W) view
+np.moveaxis(p, -1, 0), which is contiguous for the maps the segmenter
+returns: numpy reduces a short last axis far more slowly than it combines
+K whole planes.
 """
 
 import numpy as np
@@ -49,17 +53,34 @@ def validate_prob_map(p) -> None:
         raise NotNormalizedError(f"pixel sum {worst} deviates from 1 by more than {PROB_SUM_TOL}")
 
 
+def _first_max(planes):
+    """(K, ...) class-major planes -> (index of the first maximum as
+    uint16, the maximum).
+
+    Ties go to the lowest class by K strict `>` comparisons, each over
+    one whole plane.  A NaN wins as in np.argmax (the first NaN) and
+    propagates into the maximum as in np.max.
+    """
+    best = planes[0].copy()
+    idx = np.zeros(best.shape, dtype=np.uint16)
+    for k in range(1, planes.shape[0]):
+        np.copyto(idx, k, where=planes[k] > best)
+        np.maximum(best, planes[k], out=best)
+    nan = np.isnan(best)
+    if nan.any():
+        idx[nan] = np.argmax(np.isnan(planes[:, nan]), axis=0)
+    return idx, best
+
+
 def argmax_map(p) -> np.ndarray:
     """Per-pixel index of the maximum probability; ties break to the
     lowest class index."""
-    p = as_prob_map(p)
-    return np.argmax(p, axis=-1).astype(np.uint16)
+    return _first_max(np.moveaxis(as_prob_map(p), -1, 0))[0]
 
 
 def max_map(p) -> np.ndarray:
     """Per-pixel maximum probability."""
-    p = as_prob_map(p)
-    return np.max(p, axis=-1)
+    return np.max(np.moveaxis(as_prob_map(p), -1, 0), axis=0)
 
 
 def as_label_mask(m) -> np.ndarray:

@@ -18,7 +18,7 @@ class NotNormalizedError(ValidationError):
 
 
 class OutOfRangeError(ValidationError):
-    """A probability value lies outside [0, 1]."""
+    """A probability lies outside [0, 1], or a label outside its classes."""
 
 
 class ClassMismatchError(ValidationError):

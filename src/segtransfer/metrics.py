@@ -11,6 +11,7 @@ from .core import IGNORE, as_label_mask
 from .errors import (
     DimensionMismatchError,
     NotBinaryError,
+    OutOfRangeError,
     PredHasIgnoreError,
 )
 
@@ -36,7 +37,8 @@ class ConfusionMatrix:
 
 def accumulate(cm: ConfusionMatrix, pred, gt) -> ConfusionMatrix:
     """Add one prediction/ground-truth pair.  Predictions must be total
-    (no IGNORE); ground-truth IGNORE pixels are excluded."""
+    (no IGNORE); ground-truth IGNORE pixels are excluded.  Every other
+    label of either must be below the matrix's K."""
     pred = as_label_mask(pred)
     gt = as_label_mask(gt)
     if pred.shape != gt.shape:
@@ -44,10 +46,15 @@ def accumulate(cm: ConfusionMatrix, pred, gt) -> ConfusionMatrix:
     if np.any(pred == IGNORE):
         raise PredHasIgnoreError("prediction contains IGNORE pixels")
     valid = gt != IGNORE
-    g = gt[valid].astype(np.int64)
-    p = pred[valid].astype(np.int64)
+    codes = gt[valid].astype(np.int64)
     k = cm.num_classes
-    cm.counts += np.bincount(g * k + p, minlength=k * k).reshape(k, k)
+    for what, labels in (("prediction", pred), ("ground-truth", codes)):
+        if labels.size and int(labels.max()) >= k:
+            raise OutOfRangeError(f"{what} label {int(labels.max())} >= num_classes {k}")
+    # gt * k + pred, in place: one call may cover a whole target set
+    codes *= k
+    codes += pred[valid]
+    cm.counts += np.bincount(codes, minlength=k * k).reshape(k, k)
     return cm
 
 

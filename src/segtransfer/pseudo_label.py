@@ -5,8 +5,12 @@ only when the winning probability strictly exceeds its class threshold;
 everything else stays IGNORE.  Stage two fills IGNORE pixels by a
 majority vote over their 8-neighborhood, counting only neighbors that
 share the pixel's superpixel, and only when the winning vote count
-exceeds 4.  The vote reads a frozen copy of the stage-one mask, so the
-result is independent of scan order.
+exceeds 4.  The vote reads the stage-one mask, never the partly filled
+output, so the result is independent of scan order.
+
+Both stages are per pixel within a superpixel, so images stacked into one
+tall map, with superpixel IDs offset to be distinct per image, get the
+same labels as each image alone: no vote crosses an image border.
 """
 
 import numpy as np
@@ -29,12 +33,20 @@ def assign_initial(p, t: ClassThresholds) -> np.ndarray:
     p = as_prob_map(p)
     if p.shape[2] != t.num_classes:
         raise ClassMismatchError(f"map has K={p.shape[2]}, thresholds have K={t.num_classes}")
+    planes = np.moveaxis(p, -1, 0)
     thr = t.thresholds
-    ratio = p / thr[None, None, :]
-    best = np.argmax(ratio, axis=-1)
-    best_prob = np.take_along_axis(p, best[..., None], axis=-1)[..., 0]
-    selected = best_prob > thr[best]
-    mask = np.where(selected, best, IGNORE).astype(np.uint16)
+    best = planes[0] / thr[0]
+    selected = planes[0] > thr[0]
+    mask = np.zeros(best.shape, dtype=np.uint16)
+    for k in range(1, t.num_classes):
+        ratio = planes[k] / thr[k]
+        better = ratio > best
+        np.copyto(mask, k, where=better)
+        np.copyto(selected, planes[k] > thr[k], where=better)
+        np.maximum(best, ratio, out=best)
+    # a NaN ratio wins the argmax, and a NaN probability admits nothing
+    selected &= ~np.isnan(best)
+    mask[~selected] = IGNORE
     return mask
 
 
@@ -44,35 +56,35 @@ def refine_with_superpixels(m, sp) -> np.ndarray:
     Labeled pixels are never modified.  A pixel is filled with the class
     holding the most votes (ties to the lowest index) iff that count > 4.
     Out-of-bounds and IGNORE neighbors contribute no votes.
+
+    Votes are counted only for the classes present.  Distinct classes
+    vote with disjoint neighbors, so at most one class can hold more
+    than 4 of the 8 votes, and no fill ever meets a tie.
     """
     m = as_label_mask(m)
     sp = np.asarray(sp)
     if m.shape != sp.shape:
         raise DimensionMismatchError(f"mask {m.shape} vs superpixel map {sp.shape}")
     h, w = m.shape
-    frozen = m.copy()
-    labeled = frozen != IGNORE
-    if not labeled.any():
-        return frozen
+    out = m.copy()
+    # np.bincount, not np.unique: its first call in a process costs ~10 ms
+    classes = np.flatnonzero(np.bincount(m[m != IGNORE]))
+    if not classes.size:
+        return out
 
-    num_classes = int(frozen[labeled].max()) + 1
-    counts = np.zeros((h, w, num_classes), dtype=np.int32)
+    pairs = []  # (destination window, source window, neighbor shares the superpixel)
     for dy, dx in _NEIGHBOR_OFFSETS:
-        ys0, ys1 = max(dy, 0), h + min(dy, 0)
-        yd0, yd1 = max(-dy, 0), h + min(-dy, 0)
-        xs0, xs1 = max(dx, 0), w + min(dx, 0)
-        xd0, xd1 = max(-dx, 0), w + min(-dx, 0)
-        nb_label = frozen[ys0:ys1, xs0:xs1]
-        nb_sp = sp[ys0:ys1, xs0:xs1]
-        same_sp = nb_sp == sp[yd0:yd1, xd0:xd1]
-        for k in range(num_classes):
-            counts[yd0:yd1, xd0:xd1, k] += ((nb_label == k) & same_sp).astype(np.int32)
-
-    winner = np.argmax(counts, axis=-1)
-    winner_count = np.take_along_axis(counts, winner[..., None], axis=-1)[..., 0]
-    fill = (frozen == IGNORE) & (winner_count > 4)
-    out = frozen.copy()
-    out[fill] = winner[fill].astype(np.uint16)
+        src = np.s_[max(dy, 0):h + min(dy, 0), max(dx, 0):w + min(dx, 0)]
+        dst = np.s_[max(-dy, 0):h + min(-dy, 0), max(-dx, 0):w + min(-dx, 0)]
+        pairs.append((dst, src, sp[src] == sp[dst]))
+    unlabeled = m == IGNORE
+    votes = np.empty((h, w), dtype=np.uint8)
+    for c in classes.tolist():
+        is_c = m == c
+        votes.fill(0)
+        for dst, src, same_sp in pairs:
+            votes[dst] += is_c[src] & same_sp
+        out[unlabeled & (votes > 4)] = c
     return out
 
 

@@ -77,9 +77,16 @@ class SplitMix64:
         return out if shape else int(out[0])
 
     def shuffled(self, n: int) -> np.ndarray:
-        """A Fisher-Yates permutation of range(n)."""
-        perm = np.arange(n)
-        for i in range(n - 1, 0, -1):
-            j = self.integers(0, i + 1)
-            perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        """A Fisher-Yates permutation of range(n).
+
+        Swap i (for i = n-1 down to 1) exchanges positions i and j, with
+        j drawn as integers(0, i + 1) would draw it.  All n - 1 uniforms
+        come from one call; only the swaps run one by one.
+        """
+        perm = list(range(n))
+        if n > 1:
+            i = np.arange(n - 1, 0, -1)
+            js = np.minimum(np.floor(self.uniform((n - 1,)) * (i + 1)).astype(np.int64), i)
+            for a, b in zip(range(n - 1, 0, -1), js.tolist()):
+                perm[a], perm[b] = perm[b], perm[a]
+        return np.array(perm, dtype=int)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClassMismatchError, EmptyInputError, InvalidConfigError
-from .core import argmax_map, max_map, as_prob_map
+from .core import _first_max, as_prob_map
 
 # floor for gathered probabilities before the log, so degenerate softmax
 # outputs cannot produce non-finite lambdas
@@ -97,8 +97,7 @@ def determine_lambdas(maps, p: float) -> ClassThresholds:
 
     gathered = [[] for _ in range(num_classes)]
     for m in maps:
-        labels = argmax_map(m).ravel()
-        confid = max_map(m).ravel()
+        labels, confid = _first_max(np.moveaxis(m, -1, 0))
         for k in range(num_classes):
             sel = confid[labels == k]
             if sel.size:
@@ -108,8 +107,9 @@ def determine_lambdas(maps, p: float) -> ClassThresholds:
     for k in range(num_classes):
         if not gathered[k]:
             continue
-        sm = np.sort(np.concatenate(gathered[k]))
-        t_idx = int(np.floor((1.0 - p) * sm.size))
-        t_idx = min(max(t_idx, 0), sm.size - 1)
-        lambdas[k] = -np.log(max(sm[t_idx], MIN_PROB))
+        sel = np.concatenate(gathered[k])
+        t_idx = int(np.floor((1.0 - p) * sel.size))
+        t_idx = min(max(t_idx, 0), sel.size - 1)
+        # the value a full sort would put at t_idx
+        lambdas[k] = -np.log(max(np.partition(sel, t_idx)[t_idx], MIN_PROB))
     return ClassThresholds(lambdas)

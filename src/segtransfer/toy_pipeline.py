@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import IGNORE, argmax_map
-from .errors import DimensionMismatchError, InvalidConfigError
+from .errors import DimensionMismatchError, EmptyInputError, InvalidConfigError
 from .losses import (
     PROB_CLAMP,
     LossWeights,
@@ -203,11 +203,13 @@ def _map_stats(probs) -> np.ndarray:
     return np.concatenate([probs.mean(axis=2), probs.max(axis=2), probs.var(axis=2)]).T
 
 
-def refine_probs_by_classification(probs, lesion_prob: float) -> np.ndarray:
+def refine_probs_by_classification(probs, lesion_prob) -> np.ndarray:
     """Scale every lesion-class channel by the image-level lesion
     probability and renormalize.  Toy, flag-gated approximation of the
     classification-probability refinement; applied at prediction time
-    only, never inside the training loss path."""
+    only, never inside the training loss path.  lesion_prob is a float
+    or array broadcastable to (H, W, 1), e.g. one value per row of a
+    tall map of stacked images."""
     q = np.asarray(probs, dtype=np.float64).copy()
     q[..., 1:] *= lesion_prob
     q /= q.sum(axis=-1, keepdims=True)
@@ -515,46 +517,71 @@ def _stack_features(images) -> np.ndarray:
     return feats
 
 
-def _target_probs(models, feats, pooled, refine):
-    """Probability maps of the target images under the current weights."""
-    out = [segmenter_forward(models.segmenter, f) for f in feats]
+def _target_probs(models, tall_feats, pooled, refine):
+    """Probability map of the target images, stacked into one tall
+    (N*H, W, K) map, under the current weights."""
+    probs = segmenter_forward(models.segmenter, tall_feats)
     if refine:
         w = models.classifier.weights
         preds = _sigmoid(pooled @ w[:-1] + w[-1])
-        out = [refine_probs_by_classification(p, q) for p, q in zip(out, preds)]
-    return out
+        rows = tall_feats.shape[0] // pooled.shape[0]
+        probs = refine_probs_by_classification(probs, np.repeat(preds, rows)[:, None, None])
+    return probs
+
+
+def _tall_superpixels(images, params) -> np.ndarray:
+    """SLIC of each image, stacked into one tall map, with every image's
+    IDs offset past those of the images above it, so that no superpixel
+    spans two images."""
+    maps = [slic(im, params) for im in images]
+    offset = 0
+    for m in maps:
+        m += offset
+        offset = int(m.max()) + 1
+    return np.concatenate(maps)
 
 
 def train(cfg: TrainConfig, data: dict) -> TrainResult:
     """Run the full curriculum on a gen_synthetic-style dataset.
 
     All images must share one size.  Features and their mean-pooled
-    classifier inputs never change, so they are computed once.
+    classifier inputs never change, so they are computed once.  The
+    target images are handled as one tall (N*H, W) map: each epoch makes
+    one forward, one threshold pass, one pseudo-label pass and one
+    evaluation over all of them.
     """
     k = int(data["num_classes"])
     src, tgt = data["source"], data["target"]
     n_src, n_tgt = len(src["images"]), len(tgt["images"])
+    if n_tgt == 0:
+        raise EmptyInputError("training needs at least one target image")
 
     feats = _stack_features([*src["images"], *tgt["images"]])
-    shape, feature_dim = feats.shape[1:3], feats.shape[3]
+    (h, w), feature_dim = feats.shape[1:3], feats.shape[3]
     pooled = feats.reshape(n_src + n_tgt, -1, feature_dim).mean(axis=1)
-    tgt_feats, tgt_pooled = feats[n_src:], pooled[n_src:]
+    tgt_tall, tgt_pooled = feats[n_src:].reshape(n_tgt * h, w, feature_dim), pooled[n_src:]
+    if len(tgt["eval_masks"]) != n_tgt or any(np.shape(m) != (h, w) for m in tgt["eval_masks"]):
+        raise DimensionMismatchError("every target image needs an eval mask of its size")
+    eval_tall = np.concatenate(tgt["eval_masks"])
 
     models = init_models(feature_dim, k, cfg.seed)
     rng = SplitMix64(cfg.seed).spawn(100)
 
-    slic_maps = probs_t = None
+    sp_tall = probs_t = None
     if cfg.use_pl:
         # images never change, so the spatial priors are computed once
-        slic_maps = [slic(im, cfg.slic) for im in tgt["images"]]
-        probs_t = _target_probs(models, tgt_feats, tgt_pooled, cfg.refine_by_classification)
+        sp_tall = _tall_superpixels(tgt["images"], cfg.slic)
+        probs_t = _target_probs(models, tgt_tall, tgt_pooled, cfg.refine_by_classification)
+        if cfg.gate_by_image_label:
+            negative_rows = np.repeat(np.asarray(tgt["image_labels"]) == 0, h)[:, None]
 
     bank_s = CentroidBank(num_classes=k, dim=k, gamma=cfg.gamma)
     bank_t = CentroidBank(num_classes=k, dim=k, gamma=cfg.gamma)
 
     step = 0
     log = []
-    pseudo_masks = [_all_ignore(shape) for _ in range(n_tgt)]
+    pseudo_tall = _all_ignore((n_tgt * h, w))
+    pseudo_masks = list(pseudo_tall.reshape(n_tgt, h, w))
 
     for epoch in range(cfg.epochs):
         p = portion_at(cfg.schedule, epoch)
@@ -562,16 +589,13 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
         if cfg.use_pl:
             # probs_t holds the maps of the current weights: the previous
             # epoch's evaluation, or the initial forward
-            thr = determine_lambdas(probs_t, p)
-            pseudo_masks = []
-            for j in range(n_tgt):
-                m = generate(probs_t[j], thr, slic_maps[j])
-                if cfg.gate_by_image_label and tgt["image_labels"][j] == 0:
-                    m = m.copy()
-                    m[(m != IGNORE) & (m >= 1)] = IGNORE
-                pseudo_masks.append(m)
-        selected = sum(int((m != IGNORE).sum()) for m in pseudo_masks)
-        pl_fraction = selected / float(n_tgt * shape[0] * shape[1])
+            thr = determine_lambdas([probs_t], p)
+            pseudo_tall = generate(probs_t, thr, sp_tall)
+            if cfg.gate_by_image_label:
+                # images labelled healthy keep no lesion pixel (IGNORE >= 1 too)
+                pseudo_tall[negative_rows & (pseudo_tall >= 1)] = IGNORE
+            pseudo_masks = list(pseudo_tall.reshape(n_tgt, h, w))
+        pl_fraction = int((pseudo_tall != IGNORE).sum()) / float(pseudo_tall.size)
 
         order_s = rng.shuffled(n_src)
         order_t = rng.shuffled(n_tgt)
@@ -588,7 +612,7 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
                 src_feats=[feats[i] for i in sel_s],
                 src_masks=[src["masks"][i] for i in sel_s],
                 src_labels=[src["image_labels"][i] for i in sel_s],
-                tgt_feats=[tgt_feats[j] for j in sel_t],
+                tgt_feats=[feats[n_src + j] for j in sel_t],
                 tgt_masks=[pseudo_masks[j] for j in sel_t],
                 tgt_labels=[tgt["image_labels"][j] for j in sel_t],
                 pooled=np.concatenate([pooled[sel_s], tgt_pooled[sel_t]]),
@@ -610,10 +634,9 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
             for key in sums:
                 sums[key] += state.losses[key]
 
-        probs_t = _target_probs(models, tgt_feats, tgt_pooled, cfg.refine_by_classification)
-        cm = ConfusionMatrix(k)
-        for probs, gt in zip(probs_t, tgt["eval_masks"]):
-            accumulate(cm, argmax_map(probs), gt)
+        del probs_t  # free the last maps before the forward allocates new ones
+        probs_t = _target_probs(models, tgt_tall, tgt_pooled, cfg.refine_by_classification)
+        cm = accumulate(ConfusionMatrix(k), argmax_map(probs_t), eval_tall)
         m = summary(cm)
 
         record = {

@@ -231,6 +231,19 @@ class TestTrainCmd:
         rec = json.loads(open(os.path.join(out, "log.jsonl")).read().splitlines()[-1])
         assert rec["L_D"] == 0.0 and rec["L_SRT"] == 0.0 and rec["pl_fraction"] == 0.0
 
+    def test_eval_class_missing_from_source_masks(self, tiny_dataset, tmp_path):
+        """K comes from the source masks; an eval mask with a larger class
+        is a validation error (exit 2), not a traceback."""
+        cfg, data_dir, _ = tiny_dataset
+        path = os.path.join(data_dir, "target_eval", "masks", "im_0000.tnsr")
+        gt = tensorio.read_tensor(path).copy()
+        gt[0, 0] = 5
+        tensorio.write_tensor(path, gt, tensorio.DTYPE_U16)
+        out = str(tmp_path / "run")
+        assert main(["--config", cfg, "--quiet", "train", data_dir, "--out", out,
+                     "--epochs", "1"]) == 2
+        assert not os.path.exists(os.path.join(out, "log.jsonl"))
+
     def test_byte_identical_logs(self, tiny_dataset, tmp_path):
         cfg, data_dir, _ = tiny_dataset
         out_a, out_b = str(tmp_path / "ra"), str(tmp_path / "rb")

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from segtransfer.core import IGNORE
-from segtransfer.errors import DimensionMismatchError, NotBinaryError, PredHasIgnoreError
+from segtransfer.errors import (
+    DimensionMismatchError,
+    NotBinaryError,
+    OutOfRangeError,
+    PredHasIgnoreError,
+)
 from segtransfer.metrics import ConfusionMatrix, accumulate, iou_per_class, summary
 
 
@@ -65,6 +70,24 @@ class TestAccumulate:
         for p, g in zip(preds[2:], gts[2:]):
             accumulate(rest, p, g)
         np.testing.assert_array_equal(whole.counts, parts.merge(rest).counts)
+
+
+    @pytest.mark.parametrize("where", ["pred", "gt", "pred_under_gt_ignore"])
+    def test_label_at_or_above_k_rejected(self, where):
+        """A label >= K would be binned into another cell or overflow the
+        matrix; it is a validation error, and nothing is counted."""
+        pred = np.zeros((3, 3), dtype=np.uint16)
+        gt = np.zeros((3, 3), dtype=np.uint16)
+        if where == "gt":
+            gt[1, 1] = 5
+        else:
+            pred[1, 1] = 2
+            if where == "pred_under_gt_ignore":
+                gt[1, 1] = IGNORE
+        cm = ConfusionMatrix(2)
+        with pytest.raises(OutOfRangeError):
+            accumulate(cm, pred, gt)
+        assert cm.counts.sum() == 0
 
 
 class TestIou:
