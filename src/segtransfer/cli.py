@@ -1,14 +1,16 @@
 """Command-line surface and batch workflows.
 
 Subcommands: gen-synth, thresholds, slic, pseudolabel, train, eval,
-gradcheck.  Configuration is a flat JSON document; CLI flags override
-file keys, and the effective config is echoed into every output
+gradcheck.  Configuration is a flat JSON document whose keys and
+defaults come from the config dataclasses; a CLI flag named after a key
+overrides it, and the effective config is echoed into every output
 directory.  Exit codes: 0 success, 2 validation error, 3 I/O error,
 4 numeric failure.
 """
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -25,7 +27,6 @@ from .errors import (
     TooManySegmentsError,
     ValidationError,
 )
-from .losses import LossWeights
 from .metrics import ConfusionMatrix, accumulate, summary
 from .pseudo_label import assign_initial, generate
 from .superpixel import SlicParams, slic
@@ -39,44 +40,49 @@ EXIT_NUMERIC = 4
 
 MAX_SEGMENT_ID = 65534  # 65535 is the mask IGNORE sentinel
 
-CONFIG_DEFAULTS = {
-    # synthetic data
-    "image_size": 32,
-    "num_classes": 2,
-    "source_count": 200,
-    "target_count": 100,
-    "shift_brightness": 60.0,
-    "shift_noise": 4.0,
-    # training
-    "epochs": 15,
-    "batch_size": 4,
-    "learning_rate": 1e-4,
-    "lr_decay_rate": 0.7,
-    "lr_decay_step": 950,
-    "eta": 0.3,
-    "mu": 10.0,
-    "alpha": 1.0,
-    "lambda_global": 0.0,
-    "p0": 0.25,
-    "p_step": 0.05,
-    "p_max": 0.55,
-    "gamma": 0.7,
-    "use_pl": True,
-    "use_srt": True,
-    "use_adv": True,
-    "refine_by_classification": False,
-    "gate_by_image_label": False,
-    # superpixels
-    "n_segments": 100,
-    "compactness": 10.0,
-    "slic_iterations": 10,
-    "enforce_connectivity": True,
-    # shared
-    "seed": 0,
-}
+# the flat keys that differ from their dataclass field names
+_RENAMES = {(CurriculumSchedule, "step"): "p_step", (SlicParams, "iterations"): "slic_iterations"}
+
+
+def _flat_fields(cls):
+    """(flat key, field) of every leaf field of cls, nested ones included."""
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(f.type):
+            yield from _flat_fields(f.type)
+        else:
+            yield _RENAMES.get((cls, f.name), f.name), f
+
+
+# every default is written once, in its dataclass
+CONFIG_DEFAULTS = {key: f.default for cls in (SynthConfig, TrainConfig)
+                   for key, f in _flat_fields(cls)}
+
+
+def _cast(key, typ, value):
+    # bool("false") and int(1.7) would silently reinterpret the value
+    if typ is bool and not isinstance(value, bool):
+        raise InvalidConfigError(f"{key} must be true or false, got {json.dumps(value)}")
+    if typ is int and (isinstance(value, bool)
+                       or isinstance(value, float) and not value.is_integer()):
+        raise InvalidConfigError(f"{key} must be an integer, got {json.dumps(value)}")
+    return typ(value)
+
+
+def _build(cls, cfg: dict):
+    """cls built from the flat config, nested dataclasses included."""
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(f.type):
+            kwargs[f.name] = _build(f.type, cfg)
+        else:
+            key = _RENAMES.get((cls, f.name), f.name)
+            kwargs[f.name] = _cast(key, f.type, cfg[key])
+    return cls(**kwargs)
 
 
 def load_config(path=None, overrides=None) -> dict:
+    """Defaults, then the file's keys, then every override that names a
+    config key and is not None (argparse leaves unset flags at None)."""
     cfg = dict(CONFIG_DEFAULTS)
     if path is not None:
         with open(path) as fh:
@@ -90,65 +96,19 @@ def load_config(path=None, overrides=None) -> dict:
         if unknown:
             raise InvalidConfigError(f"unknown config keys: {', '.join(unknown)}")
         cfg.update(doc)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            cfg[key] = value
-    _validate_config(cfg)
+    cfg.update((key, value) for key, value in (overrides or {}).items()
+               if key in CONFIG_DEFAULTS and value is not None)
+    # the dataclass constructors own the invariants; TrainConfig builds SlicParams too
+    try:
+        _build(SynthConfig, cfg)
+        _build(TrainConfig, cfg)
+    except (TypeError, ValueError) as e:
+        raise InvalidConfigError(str(e))
     return cfg
 
 
-def _validate_config(cfg: dict) -> None:
-    # the dataclass constructors own the invariants; build them all once
-    try:
-        synth_config(cfg)
-        train_config(cfg)
-        slic_params(cfg)
-    except (TypeError, ValueError) as e:
-        raise InvalidConfigError(str(e))
-
-
-def synth_config(cfg: dict) -> SynthConfig:
-    return SynthConfig(
-        image_size=int(cfg["image_size"]),
-        num_classes=int(cfg["num_classes"]),
-        source_count=int(cfg["source_count"]),
-        target_count=int(cfg["target_count"]),
-        shift_brightness=float(cfg["shift_brightness"]),
-        shift_noise=float(cfg["shift_noise"]),
-        seed=int(cfg["seed"]),
-    )
-
-
 def slic_params(cfg: dict) -> SlicParams:
-    return SlicParams(
-        n_segments=int(cfg["n_segments"]),
-        compactness=float(cfg["compactness"]),
-        iterations=int(cfg["slic_iterations"]),
-        enforce_connectivity=bool(cfg["enforce_connectivity"]),
-    )
-
-
-def train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        epochs=int(cfg["epochs"]),
-        batch_size=int(cfg["batch_size"]),
-        learning_rate=float(cfg["learning_rate"]),
-        lr_decay_rate=float(cfg["lr_decay_rate"]),
-        lr_decay_step=int(cfg["lr_decay_step"]),
-        weights=LossWeights(eta=float(cfg["eta"]), mu=float(cfg["mu"]),
-                            alpha=float(cfg["alpha"]),
-                            lambda_global=float(cfg["lambda_global"])),
-        schedule=CurriculumSchedule(p0=float(cfg["p0"]), step=float(cfg["p_step"]),
-                                    p_max=float(cfg["p_max"])),
-        gamma=float(cfg["gamma"]),
-        seed=int(cfg["seed"]),
-        use_pl=bool(cfg["use_pl"]),
-        use_srt=bool(cfg["use_srt"]),
-        use_adv=bool(cfg["use_adv"]),
-        refine_by_classification=bool(cfg["refine_by_classification"]),
-        gate_by_image_label=bool(cfg["gate_by_image_label"]),
-        slic=slic_params(cfg),
-    )
+    return _build(SlicParams, cfg)
 
 
 def _say(args, msg):
@@ -156,17 +116,13 @@ def _say(args, msg):
         print(msg)
 
 
-def _echo_config(out_dir, cfg):
-    tensorio.atomic_write_json(os.path.join(out_dir, "config.json"), cfg)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_gen_synth(args) -> int:
-    cfg = load_config(args.config, {"seed": args.seed})
-    scfg = synth_config(cfg)
+    cfg = load_config(args.config, vars(args))
+    scfg = _build(SynthConfig, cfg)
     data = gen_synthetic(scfg)
 
     out = args.out
@@ -174,7 +130,7 @@ def cmd_gen_synth(args) -> int:
     os.makedirs(os.path.join(out, "source", "masks"), exist_ok=True)
     os.makedirs(os.path.join(out, "target", "images"), exist_ok=True)
     os.makedirs(os.path.join(out, "target_eval", "masks"), exist_ok=True)
-    _echo_config(out, cfg)
+    tensorio.atomic_write_json(os.path.join(out, "config.json"), cfg)
 
     names = {"source": [], "target": []}
     for i, (img, mask) in enumerate(zip(data["source"]["images"], data["source"]["masks"])):
@@ -234,8 +190,7 @@ def cmd_thresholds(args) -> int:
     for m in maps:
         mask = assign_initial(m, thr)
         total += mask.size
-        for k in range(thr.num_classes):
-            counts[k] += int((mask == k).sum())
+        counts += np.bincount(mask[mask != IGNORE], minlength=thr.num_classes)
     _say(args, f"wrote thresholds for K={thr.num_classes} to {args.out}")
     for k in range(thr.num_classes):
         _say(args, f"  class {k}: threshold {thr.thresholds[k]:.6f}, "
@@ -244,11 +199,7 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_slic(args) -> int:
-    cfg = load_config(args.config, {
-        "seed": args.seed,
-        "n_segments": args.n_segments,
-        "compactness": args.compactness,
-    })
+    cfg = load_config(args.config, vars(args))
     img = tensorio.read_tensor(args.image)
     labels = slic(img, slic_params(cfg))
     n_final = int(labels.max()) + 1
@@ -260,7 +211,7 @@ def cmd_slic(args) -> int:
 
 
 def cmd_pseudolabel(args) -> int:
-    cfg = load_config(args.config, {"seed": args.seed})
+    cfg = load_config(args.config, vars(args))
     probs = tensorio.read_tensor(args.probs).astype(np.float64)
     validate_prob_map(probs)
     with open(args.thresholds) as fh:
@@ -315,25 +266,14 @@ def _load_dataset(data_dir):
 
 
 def cmd_train(args) -> int:
-    overrides = {"seed": args.seed}
-    if args.no_pl:
-        overrides["use_pl"] = False
-    if args.no_srt:
-        overrides["use_srt"] = False
-    if args.no_adv:
-        overrides["use_adv"] = False
-    if args.epochs is not None:
-        overrides["epochs"] = args.epochs
-    if args.learning_rate is not None:
-        overrides["learning_rate"] = args.learning_rate
-    cfg = load_config(args.config, overrides)
-    tcfg = train_config(cfg)
+    cfg = load_config(args.config, vars(args))
+    tcfg = _build(TrainConfig, cfg)
     data, tgt_names = _load_dataset(args.data_dir)
 
     out = args.out
     os.makedirs(os.path.join(out, "models"), exist_ok=True)
     os.makedirs(os.path.join(out, "pseudo_labels"), exist_ok=True)
-    _echo_config(out, cfg)
+    tensorio.atomic_write_json(os.path.join(out, "config.json"), cfg)
 
     result = train(tcfg, data)
 
@@ -350,15 +290,10 @@ def cmd_train(args) -> int:
         writer.writerow([rec.get(c, "") for c in columns])
     tensorio.atomic_write_bytes(os.path.join(out, "log.csv"), buf.getvalue().encode())
 
-    tensorio.write_tensor(os.path.join(out, "models", "segmenter.tnsr"),
-                          result.models.segmenter.weights.astype(np.float32),
-                          tensorio.DTYPE_F32)
-    tensorio.write_tensor(os.path.join(out, "models", "classifier.tnsr"),
-                          result.models.classifier.weights.astype(np.float32),
-                          tensorio.DTYPE_F32)
-    tensorio.write_tensor(os.path.join(out, "models", "discriminator.tnsr"),
-                          result.models.discriminator.weights.astype(np.float32),
-                          tensorio.DTYPE_F32)
+    for name in ("segmenter", "classifier", "discriminator"):
+        tensorio.write_tensor(os.path.join(out, "models", name + ".tnsr"),
+                              getattr(result.models, name).weights.astype(np.float32),
+                              tensorio.DTYPE_F32)
     for bank, tag in ((result.bank_s, "source"), (result.bank_t, "target")):
         tensorio.write_tensor(os.path.join(out, "models", f"centroids_{tag}.tnsr"),
                               bank.centroids.astype(np.float32), tensorio.DTYPE_F32)
@@ -407,7 +342,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    report = gradcheck(args.seed if args.seed is not None else 0)
+    report = gradcheck() if args.seed is None else gradcheck(args.seed)
     for block in ("classifier", "segmenter", "discriminator"):
         _say(args, f"{block}: max relative error {report[block]:.3e}")
     if report["max"] >= 1e-4:
@@ -458,9 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--learning-rate", type=float, default=None, dest="learning_rate")
-    p.add_argument("--no-pl", action="store_true", dest="no_pl")
-    p.add_argument("--no-srt", action="store_true", dest="no_srt")
-    p.add_argument("--no-adv", action="store_true", dest="no_adv")
+    for name in ("pl", "srt", "adv"):
+        p.add_argument(f"--no-{name}", action="store_const", const=False, dest=f"use_{name}")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="IoU metrics from prediction and gt masks")

@@ -23,11 +23,6 @@ class ConfusionMatrix:
         self.num_classes = num_classes
         self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
 
-    def copy(self) -> "ConfusionMatrix":
-        out = ConfusionMatrix(self.num_classes)
-        out.counts = self.counts.copy()
-        return out
-
     def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
         if other.num_classes != self.num_classes:
             raise DimensionMismatchError("cannot merge matrices of different K")

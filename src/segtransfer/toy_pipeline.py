@@ -37,6 +37,8 @@ from .transfer import BatchCentroids, CentroidBank, srt_loss, update_bank
 LESION_RATE = 0.75
 BACKGROUND_NOISE = 8.0
 WEIGHT_INIT_SCALE = 0.1
+GRADCHECK_SIZE = 8  # side of gradcheck's images
+GRADCHECK_IMAGES = 2  # images per domain in gradcheck
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +211,13 @@ def refine_probs_by_classification(probs, lesion_prob) -> np.ndarray:
     classification-probability refinement; applied at prediction time
     only, never inside the training loss path.  lesion_prob is a float
     or array broadcastable to (H, W, 1), e.g. one value per row of a
-    tall map of stacked images."""
-    q = np.asarray(probs, dtype=np.float64).copy()
-    q[..., 1:] *= lesion_prob
-    q /= q.sum(axis=-1, keepdims=True)
-    return q
+    tall map of stacked images.  Returns a channel-last view of a
+    class-major copy, so the renormalizing sum runs over whole planes."""
+    q = np.array(np.moveaxis(np.asarray(probs, dtype=np.float64), -1, 0))
+    out = np.moveaxis(q, 0, -1)
+    out[..., 1:] *= lesion_prob
+    q /= q.sum(axis=0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -682,11 +686,11 @@ def _rel_err(a, b):
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
 
 
-def gradcheck(seed: int = 0, image_size: int = 8, num_images: int = 2) -> dict:
+def gradcheck(seed: int = 0) -> dict:
     """Compare backward_all against central finite differences on a small
     random instance.  Returns max relative error per parameter block."""
-    synth = SynthConfig(image_size=image_size, num_classes=2,
-                        source_count=num_images, target_count=num_images,
+    synth = SynthConfig(image_size=GRADCHECK_SIZE, num_classes=2,
+                        source_count=GRADCHECK_IMAGES, target_count=GRADCHECK_IMAGES,
                         seed=seed)
     data = gen_synthetic(synth)
     k = 2
@@ -703,7 +707,7 @@ def gradcheck(seed: int = 0, image_size: int = 8, num_images: int = 2) -> dict:
     # fixed pseudo masks with some IGNORE pixels
     tgt_masks = []
     for _ in tgt_feats:
-        raw = rng.integers(0, k + 1, (image_size, image_size))
+        raw = rng.integers(0, k + 1, (GRADCHECK_SIZE, GRADCHECK_SIZE))
         m = raw.astype(np.uint16)
         m[raw == k] = IGNORE
         tgt_masks.append(m)

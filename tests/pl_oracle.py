@@ -1,7 +1,8 @@
 """Channel-last reference versions of the pseudo-label layer.
 
 These are the implementations the class-major ones in `segtransfer.core`,
-`segtransfer.pseudo_label` and `segtransfer.thresholds` replaced, kept
+`segtransfer.pseudo_label`, `segtransfer.thresholds` and
+`segtransfer.toy_pipeline` replaced, kept
 unchanged as the oracle they must match: reductions run over the last
 (class) axis with `np.argmax` / `np.max`, and the refinement vote array
 is sized by the largest label.
@@ -111,3 +112,10 @@ def determine_lambdas(maps, p: float) -> ClassThresholds:
         t_idx = min(max(t_idx, 0), sm.size - 1)
         lambdas[k] = -np.log(max(sm[t_idx], MIN_PROB))
     return ClassThresholds(lambdas)
+
+
+def refine_probs_by_classification(probs, lesion_prob) -> np.ndarray:
+    q = np.asarray(probs, dtype=np.float64).copy()
+    q[..., 1:] *= lesion_prob
+    q /= q.sum(axis=-1, keepdims=True)
+    return q

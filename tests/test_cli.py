@@ -107,6 +107,23 @@ class TestThresholdsCmd:
         assert main(["--quiet", "thresholds", d, "--p", "0.4", "--out", out]) == 2
         assert not os.path.exists(out)
 
+    def test_printed_selection_fractions(self, tmp_path, capsys):
+        from segtransfer.pseudo_label import assign_initial
+        from segtransfer.thresholds import ClassThresholds
+        d = self.make_probs(tmp_path, n=3, k=3)
+        out = str(tmp_path / "thr.json")
+        assert main(["thresholds", d, "--p", "0.4", "--out", out]) == 0
+        thr = ClassThresholds.from_json_dict(json.load(open(out)))
+        masks = [assign_initial(tensorio.read_tensor(os.path.join(d, f"p{i}.tnsr"))
+                                .astype(np.float64), thr) for i in range(3)]
+        total = sum(m.size for m in masks)
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4
+        for k in range(3):
+            frac = sum(int((m == k).sum()) for m in masks) / total
+            assert lines[1 + k] == (f"  class {k}: threshold {thr.thresholds[k]:.6f}, "
+                                    f"selected {frac:.4f} of all pixels")
+
 
 class TestSlicCmd:
     def test_writes_u16_map(self, tiny_dataset, tmp_path):

@@ -181,6 +181,21 @@ def test_determine_lambdas_tall_map_equals_list():
                                       determine_lambdas(maps, p).lambdas)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+@pytest.mark.parametrize("layout", ["channel_last", "forward"])
+def test_refine_probs_by_classification_matches_oracle(k, layout):
+    rng = np.random.default_rng(40 + k)
+    for h, w in SHAPES + [(0, 4), (24, 8)]:
+        p = prob_map(rng, h, w, k, layout)
+        before = p.copy()
+        for lesion in (0.3, 1.0, rng.random((h, 1, 1)), rng.random((h, w, 1))):
+            got = toy_pipeline.refine_probs_by_classification(p, lesion)
+            want = oracle.refine_probs_by_classification(p, lesion)
+            assert got.shape == want.shape == (h, w, k)
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(p, before)
+
+
 def offset_stack(sps):
     """Stack superpixel maps into one tall map with per-image IDs made
     distinct, as train does."""
