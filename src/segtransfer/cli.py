@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 
@@ -59,12 +60,17 @@ CONFIG_DEFAULTS = {key: f.default for cls in (SynthConfig, TrainConfig)
 
 
 def _cast(key, typ, value):
-    # bool("false") and int(1.7) would silently reinterpret the value
-    if typ is bool and not isinstance(value, bool):
-        raise InvalidConfigError(f"{key} must be true or false, got {json.dumps(value)}")
-    if typ is int and (isinstance(value, bool)
-                       or isinstance(value, float) and not value.is_integer()):
-        raise InvalidConfigError(f"{key} must be an integer, got {json.dumps(value)}")
+    # bool("false"), int(1.7), float(True) and float("1") would silently
+    # reinterpret the value, and NaN or an infinity passes every range check
+    if typ is bool:
+        ok, kind = isinstance(value, bool), "true or false"
+    else:
+        ok = (isinstance(value, int) and not isinstance(value, bool)
+              or isinstance(value, float) and math.isfinite(value)
+              and (typ is float or value.is_integer()))
+        kind = "a finite number" if typ is float else "an integer"
+    if not ok:
+        raise InvalidConfigError(f"{key} must be {kind}, got {json.dumps(value)}")
     return typ(value)
 
 
@@ -102,7 +108,7 @@ def load_config(path=None, overrides=None) -> dict:
     try:
         _build(SynthConfig, cfg)
         _build(TrainConfig, cfg)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise InvalidConfigError(str(e))
     return cfg
 

@@ -9,6 +9,12 @@ pseudo labels, exponentially-weighted centroid alignment (computed on
 the softmax outputs, the toy analog of penultimate features), and
 output-space adversarial alignment.
 
+A training step takes one layout: arrays stacked along axis 0, the
+source images first, then the target ones -- pixel features
+(B, H, W, D), masks (B, H, W), image-level labels (B,) and mean-pooled
+features (B, D).  `train` keeps each of these as one array over all
+images and gathers every batch from them by one index array.
+
 Gradients flow into the alignment loss only through the newest batch
 centroid (weight gamma^0 = 1); the accumulated history is a constant
 buffer, so backpropagation never unrolls across steps.
@@ -161,11 +167,6 @@ def pixel_features(img) -> np.ndarray:
     return feats
 
 
-def _with_bias(feats_flat):
-    n = feats_flat.shape[0]
-    return np.concatenate([feats_flat, np.ones((n, 1))], axis=1)
-
-
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
@@ -224,26 +225,6 @@ def refine_probs_by_classification(probs, lesion_prob) -> np.ndarray:
 # batch forward / backward
 
 
-@dataclass
-class BatchData:
-    """One optimization step's worth of images, pre-featurized.
-
-    feats are (H, W, D), one size for all images; masks are (H, W)
-    uint16 (pseudo labels for the target side); labels are binary
-    image-level labels.  Each field is a list with one entry per image,
-    or one array stacked along axis 0.  pooled, when given, holds the
-    images' mean-pooled feats, source first, as (n_s + n_t, D);
-    otherwise it is computed from the feats.
-    """
-    src_feats: list
-    src_masks: list
-    src_labels: list
-    tgt_feats: list
-    tgt_masks: list
-    tgt_labels: list
-    pooled: np.ndarray = None
-
-
 def _domain_sum(per_image, image_n) -> float:
     """sum_i per_image[i] / image_n[i], added image by image in batch
     order, so a batch's loss depends only on its images' own terms."""
@@ -272,40 +253,35 @@ class ForwardState:
     stats: np.ndarray    # (B, 3K) discriminator inputs; None without use_adv
     disc: np.ndarray     # (B,) discriminator outputs; None without use_adv
     srt_grads: tuple
-    weights: LossWeights
-    use_adv: bool
-    use_srt: bool
+    eta: float           # weights.eta, 0 without use_adv
+    mu: float            # weights.mu, 0 without use_srt
 
 
-def batch_forward(models: ToyModels, batch: BatchData, bank_s: CentroidBank,
-                  bank_t: CentroidBank, weights: LossWeights,
+def batch_forward(models: ToyModels, feats, masks, labels, pooled, n_s: int,
+                  bank_s: CentroidBank, bank_t: CentroidBank, weights: LossWeights,
                   use_adv: bool = True, use_srt: bool = True) -> ForwardState:
     """Forward all images of one batch and assemble every loss term.
 
-    Every loss is the mean over each domain's images of a per-image
-    term.  Candidate banks are the old banks advanced by this batch's
-    centroids; they are returned for the caller to commit after the
-    gradient step.
+    The inputs are stacked along axis 0, the n_s source images first,
+    then the target ones: feats (B, H, W, D), masks (B, H, W) uint16
+    (pseudo labels on the target side), binary image-level labels (B,)
+    and the mean-pooled feats (B, D).  Every loss is the mean over each
+    domain's images of a per-image term.  Candidate banks are the old
+    banks advanced by this batch's centroids; they are returned for the
+    caller to commit after the gradient step.
     """
     k = models.segmenter.num_classes
-    n_s, n_t = len(batch.src_feats), len(batch.tgt_feats)
-    n_img = n_s + n_t
-    feats = [*batch.src_feats, *batch.tgt_feats]
-    masks = [*batch.src_masks, *batch.tgt_masks]
-    h, w, d = np.shape(feats[0])
-    if (len(masks) != n_img or any(np.shape(f) != (h, w, d) for f in feats)
-            or any(np.shape(m) != (h, w) for m in masks)):
-        raise DimensionMismatchError("the images and masks of a batch must share one size")
+    n_img, h, w, d = feats.shape
+    n_t = n_img - n_s
+    if np.shape(masks) != (n_img, h, w) or len(labels) != n_img or len(pooled) != n_img:
+        raise DimensionMismatchError("a batch's masks, labels and pooled must match its feats")
     _check_feature_dim(models.segmenter, d)
     hw = h * w
-    feats = np.concatenate(feats).astype(np.float64, copy=False).reshape(n_img * hw, d)
-    mask = np.concatenate(masks).astype(np.uint16, copy=False).ravel()
+    feats = feats.astype(np.float64, copy=False).reshape(n_img * hw, d)
+    mask = masks.astype(np.uint16, copy=False).ravel()
     image_n = np.repeat([float(n_s), float(n_t)], [n_s, n_t])
-    labels = np.array([*batch.src_labels, *batch.tgt_labels], dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
 
-    pooled = batch.pooled
-    if pooled is None:
-        pooled = feats.reshape(n_img, hw, d).mean(axis=1)
     w1 = models.classifier.weights
     cls = _sigmoid(pooled @ w1[:-1] + w1[-1])
     pc = np.clip(cls, PROB_CLAMP, 1.0 - PROB_CLAMP)
@@ -363,8 +339,7 @@ def batch_forward(models: ToyModels, batch: BatchData, bank_s: CentroidBank,
         losses=losses, new_bank_s=new_bank_s, new_bank_t=new_bank_t,
         n_s=n_s, image_n=image_n, feats=feats, probs=probs, pixel_w=pixel_w,
         target=target, pooled=pooled, labels=labels, cls=cls, stats=stats,
-        disc=disc, srt_grads=(grad_cs, grad_ct), weights=weights,
-        use_adv=use_adv, use_srt=use_srt,
+        disc=disc, srt_grads=(grad_cs, grad_ct), eta=eta, mu=mu,
     )
 
 
@@ -377,14 +352,12 @@ def backward_all(models: ToyModels, state: ForwardState) -> dict:
     d L_disc with the segmenter outputs frozen -- the standard
     alternating scheme for the adversarial pair.
     """
-    weights, n_s = state.weights, state.n_s
+    n_s, eta, mu = state.n_s, state.eta, state.mu
     probs, target = state.probs, state.target
     k, n_pix = probs.shape
     n_img = state.image_n.size
     n_t, hw = n_img - n_s, n_pix // n_img
     split = n_s * hw
-    eta = weights.eta if state.use_adv else 0.0
-    mu = weights.mu if state.use_srt else 0.0
 
     g_cls = (state.cls - state.labels) / state.image_n
     g_w1 = np.append(g_cls @ state.pooled, g_cls.sum())
@@ -416,7 +389,7 @@ def backward_all(models: ToyModels, state: ForwardState) -> dict:
     g_w2 = np.vstack([state.feats.T @ g_z.T, g_z.sum(axis=1)])
 
     g_wd = np.zeros_like(models.discriminator.weights)
-    if state.use_adv:
+    if state.disc is not None:
         g_d = np.concatenate([state.disc[:n_s], state.disc[n_s:] - 1.0]) / state.image_n
         g_wd = np.append(g_d @ state.stats, g_d.sum())
 
@@ -499,7 +472,7 @@ class TrainResult:
     bank_s: CentroidBank
     bank_t: CentroidBank
     log: list
-    pseudo_masks: list
+    pseudo_masks: np.ndarray  # (N_t, H, W) uint16, the last epoch's pseudo labels
 
 
 def _all_ignore(shape):
@@ -548,11 +521,14 @@ def _tall_superpixels(images, params) -> np.ndarray:
 def train(cfg: TrainConfig, data: dict) -> TrainResult:
     """Run the full curriculum on a gen_synthetic-style dataset.
 
-    All images must share one size.  Features and their mean-pooled
-    classifier inputs never change, so they are computed once.  The
-    target images are handled as one tall (N*H, W) map: each epoch makes
-    one forward, one threshold pass, one pseudo-label pass and one
-    evaluation over all of them.
+    All images must share one size, and each domain's per-image lists
+    must hold one entry per image.  Features, their mean-pooled
+    classifier inputs, masks and image-level labels are each one array
+    over all images, source first, built once; the target rows of the
+    masks hold the current pseudo labels.  A step gathers its batch from
+    these arrays by one index array.  The target images are handled as
+    one tall (N*H, W) map: each epoch makes one forward, one threshold
+    pass, one pseudo-label pass and one evaluation over all of them.
     """
     k = int(data["num_classes"])
     src, tgt = data["source"], data["target"]
@@ -561,12 +537,20 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
         raise EmptyInputError("training needs at least one target image")
 
     feats = _stack_features([*src["images"], *tgt["images"]])
-    (h, w), feature_dim = feats.shape[1:3], feats.shape[3]
-    pooled = feats.reshape(n_src + n_tgt, -1, feature_dim).mean(axis=1)
+    n_img, h, w, feature_dim = feats.shape
+    for name, given, n in (("source", src["masks"], n_src),
+                           ("target eval", tgt["eval_masks"], n_tgt)):
+        if len(given) != n or any(np.shape(m) != (h, w) for m in given):
+            raise DimensionMismatchError(f"every {name} image needs a mask of its size")
+    if len(src["image_labels"]) != n_src or len(tgt["image_labels"]) != n_tgt:
+        raise DimensionMismatchError("every image needs one image-level label")
+    pooled = feats.reshape(n_img, -1, feature_dim).mean(axis=1)
     tgt_tall, tgt_pooled = feats[n_src:].reshape(n_tgt * h, w, feature_dim), pooled[n_src:]
-    if len(tgt["eval_masks"]) != n_tgt or any(np.shape(m) != (h, w) for m in tgt["eval_masks"]):
-        raise DimensionMismatchError("every target image needs an eval mask of its size")
     eval_tall = np.concatenate(tgt["eval_masks"])
+    labels = np.array([*src["image_labels"], *tgt["image_labels"]], dtype=np.float64)
+    masks = _all_ignore((n_img, h, w))
+    masks[:n_src] = src["masks"]
+    pseudo_tall = masks[n_src:].reshape(n_tgt * h, w)  # a view: writes land in masks
 
     models = init_models(feature_dim, k, cfg.seed)
     rng = SplitMix64(cfg.seed).spawn(100)
@@ -577,15 +561,13 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
         sp_tall = _tall_superpixels(tgt["images"], cfg.slic)
         probs_t = _target_probs(models, tgt_tall, tgt_pooled, cfg.refine_by_classification)
         if cfg.gate_by_image_label:
-            negative_rows = np.repeat(np.asarray(tgt["image_labels"]) == 0, h)[:, None]
+            negative_rows = np.repeat(labels[n_src:] == 0, h)[:, None]
 
     bank_s = CentroidBank(num_classes=k, dim=k, gamma=cfg.gamma)
     bank_t = CentroidBank(num_classes=k, dim=k, gamma=cfg.gamma)
 
     step = 0
     log = []
-    pseudo_tall = _all_ignore((n_tgt * h, w))
-    pseudo_masks = list(pseudo_tall.reshape(n_tgt, h, w))
 
     for epoch in range(cfg.epochs):
         p = portion_at(cfg.schedule, epoch)
@@ -594,11 +576,10 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
             # probs_t holds the maps of the current weights: the previous
             # epoch's evaluation, or the initial forward
             thr = determine_lambdas([probs_t], p)
-            pseudo_tall = generate(probs_t, thr, sp_tall)
+            pseudo_tall[:] = generate(probs_t, thr, sp_tall)
             if cfg.gate_by_image_label:
                 # images labelled healthy keep no lesion pixel (IGNORE >= 1 too)
                 pseudo_tall[negative_rows & (pseudo_tall >= 1)] = IGNORE
-            pseudo_masks = list(pseudo_tall.reshape(n_tgt, h, w))
         pl_fraction = int((pseudo_tall != IGNORE).sum()) / float(pseudo_tall.size)
 
         order_s = rng.shuffled(n_src)
@@ -606,22 +587,14 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
         sums = {"L_C": 0.0, "L_S": 0.0, "L_D": 0.0, "L_SRT": 0.0,
                 "L_disc": 0.0, "total": 0.0}
         n_batches = 0
-        pos_t = 0
         last_lr = cfg.learning_rate
         for b0 in range(0, n_src, cfg.batch_size):
             sel_s = order_s[b0:b0 + cfg.batch_size]
-            sel_t = [order_t[(pos_t + i) % n_tgt] for i in range(len(sel_s))]
-            pos_t += len(sel_s)
-            batch = BatchData(
-                src_feats=[feats[i] for i in sel_s],
-                src_masks=[src["masks"][i] for i in sel_s],
-                src_labels=[src["image_labels"][i] for i in sel_s],
-                tgt_feats=[feats[n_src + j] for j in sel_t],
-                tgt_masks=[pseudo_masks[j] for j in sel_t],
-                tgt_labels=[tgt["image_labels"][j] for j in sel_t],
-                pooled=np.concatenate([pooled[sel_s], tgt_pooled[sel_t]]),
-            )
-            state = batch_forward(models, batch, bank_s, bank_t, cfg.weights,
+            # the target side walks order_t in step with the source side, wrapping
+            sel_t = order_t[np.arange(b0, b0 + len(sel_s)) % n_tgt]
+            idx = np.concatenate([sel_s, n_src + sel_t])
+            state = batch_forward(models, feats[idx], masks[idx], labels[idx], pooled[idx],
+                                  len(sel_s), bank_s, bank_t, cfg.weights,
                                   use_adv=cfg.use_adv, use_srt=cfg.use_srt)
             grads = backward_all(models, state)
 
@@ -658,7 +631,7 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
         log.append(record)
 
     return TrainResult(models=models, bank_s=bank_s, bank_t=bank_t,
-                       log=log, pseudo_masks=pseudo_masks)
+                       log=log, pseudo_masks=masks[n_src:])
 
 
 # ---------------------------------------------------------------------------
@@ -696,40 +669,33 @@ def gradcheck(seed: int = 0) -> dict:
     k = 2
     rng = SplitMix64(seed).spawn(999)
 
-    src_feats = [pixel_features(im) for im in data["source"]["images"]]
-    tgt_feats = [pixel_features(im) for im in data["target"]["images"]]
-    dim = src_feats[0].shape[2]
+    feats = _stack_features([*data["source"]["images"], *data["target"]["images"]])
+    dim = feats.shape[3]
     models = init_models(dim, k, seed + 1)
     models.segmenter.weights += 0.2 * rng.normal(models.segmenter.weights.shape)
     models.classifier.weights += 0.2 * rng.normal(models.classifier.weights.shape)
     models.discriminator.weights += 0.2 * rng.normal(models.discriminator.weights.shape)
 
     # fixed pseudo masks with some IGNORE pixels
-    tgt_masks = []
-    for _ in tgt_feats:
+    masks = _all_ignore(feats.shape[:3])
+    masks[:GRADCHECK_IMAGES] = data["source"]["masks"]
+    for m in masks[GRADCHECK_IMAGES:]:
         raw = rng.integers(0, k + 1, (GRADCHECK_SIZE, GRADCHECK_SIZE))
-        m = raw.astype(np.uint16)
-        m[raw == k] = IGNORE
-        tgt_masks.append(m)
+        m[:] = np.where(raw == k, IGNORE, raw)
 
     weights = LossWeights(eta=0.3, mu=10.0, alpha=1.0, lambda_global=0.1)
     bank_s = CentroidBank(num_classes=k, dim=k, gamma=0.7,
                           centroids=rng.normal((k, k)), steps=3)
     bank_t = CentroidBank(num_classes=k, dim=k, gamma=0.7,
                           centroids=rng.normal((k, k)), steps=3)
-    batch = BatchData(
-        src_feats=src_feats, src_masks=data["source"]["masks"],
-        src_labels=data["source"]["image_labels"],
-        tgt_feats=tgt_feats, tgt_masks=tgt_masks,
-        tgt_labels=data["target"]["image_labels"],
-    )
-
-    state = batch_forward(models, batch, bank_s, bank_t, weights)
-    grads = backward_all(models, state)
+    labels = np.array([*data["source"]["image_labels"], *data["target"]["image_labels"]])
+    batch = (feats, masks, labels, feats.reshape(len(feats), -1, dim).mean(axis=1),
+             GRADCHECK_IMAGES)
 
     def fwd():
-        return batch_forward(models, batch, bank_s, bank_t, weights)
+        return batch_forward(models, *batch, bank_s, bank_t, weights)
 
+    grads = backward_all(models, fwd())
     fd_cls = _fd_grad(lambda: fwd().losses["L_C"], models.classifier.weights)
     fd_seg = _fd_grad(
         lambda: (lambda s: s.losses["L_S"] + weights.eta * s.losses["L_D"]

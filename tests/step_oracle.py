@@ -28,16 +28,34 @@ from segtransfer.rng import SplitMix64
 from segtransfer.superpixel import slic
 from segtransfer.thresholds import determine_lambdas, portion_at
 from segtransfer.toy_pipeline import (
-    BatchData,
     TrainResult,
     _all_ignore,
     _sigmoid,
-    _with_bias,
     init_models,
     pixel_features,
     refine_probs_by_classification,
 )
 from segtransfer.transfer import BatchCentroids, CentroidBank, batch_centroids, srt_loss, update_bank
+
+
+@dataclass
+class BatchData:
+    """One optimization step's worth of images, pre-featurized.
+
+    feats are (H, W, D); masks are (H, W) uint16 (pseudo labels for the
+    target side); labels are binary image-level labels.
+    """
+    src_feats: list
+    src_masks: list
+    src_labels: list
+    tgt_feats: list
+    tgt_masks: list
+    tgt_labels: list
+
+
+def _with_bias(feats_flat):
+    n = feats_flat.shape[0]
+    return np.concatenate([feats_flat, np.ones((n, 1))], axis=1)
 
 
 # ---------------------------------------------------------------------------

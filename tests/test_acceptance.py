@@ -6,7 +6,6 @@ are fixed here, not configurable.
 """
 
 import json
-import os
 import time
 
 import numpy as np
@@ -327,7 +326,7 @@ def test_c9_cmd_train_determinism(tmp_path):
     assert cli_main(["--config", str(cfg_path), "--quiet", "train", data_dir,
                      "--out", out_b]) == 0
     same = all(
-        open(os.path.join(out_a, name), "rb").read()
-        == open(os.path.join(out_b, name), "rb").read()
+        (tmp_path / "a" / name).read_bytes()
+        == (tmp_path / "b" / name).read_bytes()
         for name in ("log.jsonl", "log.csv"))
     _verdict(9, same, "log.jsonl and log.csv byte-identical across runs")

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,8 +48,8 @@ class TestGenSynth:
         for sub in ("source/images", "source/masks", "target/images",
                     "target_eval/masks"):
             for name in os.listdir(os.path.join(data_dir, sub)):
-                a = open(os.path.join(data_dir, sub, name), "rb").read()
-                b = open(os.path.join(other, sub, name), "rb").read()
+                a = Path(data_dir, sub, name).read_bytes()
+                b = Path(other, sub, name).read_bytes()
                 assert a == b, f"{sub}/{name} differs"
 
     def test_unknown_config_key_rejected(self, tmp_path):
@@ -71,7 +72,7 @@ class TestThresholdsCmd:
         d = self.make_probs(tmp_path)
         out = str(tmp_path / "thr.json")
         assert main(["--quiet", "thresholds", d, "--p", "0.4", "--out", out]) == 0
-        doc = json.load(open(out))
+        doc = json.loads(Path(out).read_text())
         assert doc["K"] == 2 and len(doc["lambdas"]) == 2
 
     def test_uniform_map(self, tmp_path):
@@ -82,7 +83,7 @@ class TestThresholdsCmd:
         out = str(tmp_path / "thr.json")
         assert main(["--quiet", "thresholds", str(d), "--p", "0.5",
                      "--out", out]) == 0
-        doc = json.load(open(out))
+        doc = json.loads(Path(out).read_text())
         # every pixel argmaxes to class 0 at 0.5; class 1 never predicted
         assert doc["lambdas"][0] == pytest.approx(np.log(2.0))
         assert doc["lambdas"][1] == 0.0
@@ -113,7 +114,7 @@ class TestThresholdsCmd:
         d = self.make_probs(tmp_path, n=3, k=3)
         out = str(tmp_path / "thr.json")
         assert main(["thresholds", d, "--p", "0.4", "--out", out]) == 0
-        thr = ClassThresholds.from_json_dict(json.load(open(out)))
+        thr = ClassThresholds.from_json_dict(json.loads(Path(out).read_text()))
         masks = [assign_initial(tensorio.read_tensor(os.path.join(d, f"p{i}.tnsr"))
                                 .astype(np.float64), thr) for i in range(3)]
         total = sum(m.size for m in masks)
@@ -141,7 +142,7 @@ class TestSlicCmd:
         a, b = str(tmp_path / "a.tnsr"), str(tmp_path / "b.tnsr")
         main(["--quiet", "slic", img, "--out", a, "--n-segments", "9"])
         main(["--quiet", "slic", img, "--out", b, "--n-segments", "9"])
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 class TestPseudolabelCmd:
@@ -154,7 +155,7 @@ class TestPseudolabelCmd:
         probs_path = str(tmp_path / "probs.tnsr")
         tensorio.write_tensor(probs_path, probs, tensorio.DTYPE_F32)
         thr_path = str(tmp_path / "thr.json")
-        json.dump({"K": 2, "lambdas": [0.4, 0.4]}, open(thr_path, "w"))
+        Path(thr_path).write_text(json.dumps({"K": 2, "lambdas": [0.4, 0.4]}))
         out = str(tmp_path / "mask.tnsr")
         assert main(["--config", cfg, "--quiet", "pseudolabel", probs_path,
                      thr_path, img_path, "--out", out]) == 0
@@ -175,7 +176,7 @@ class TestPseudolabelCmd:
         probs_path = str(tmp_path / "p.tnsr")
         tensorio.write_tensor(probs_path, probs, tensorio.DTYPE_F32)
         thr_path = str(tmp_path / "t.json")
-        json.dump({"K": 2, "lambdas": [0.0, 0.0]}, open(thr_path, "w"))
+        Path(thr_path).write_text(json.dumps({"K": 2, "lambdas": [0.0, 0.0]}))
         out = str(tmp_path / "m.tnsr")
         assert main(["--config", cfg, "--quiet", "pseudolabel", probs_path,
                      thr_path, img_path, "--out", out]) == 0
@@ -190,7 +191,7 @@ class TestPseudolabelCmd:
         probs_path = str(tmp_path / "p.tnsr")
         tensorio.write_tensor(probs_path, probs, tensorio.DTYPE_F32)
         thr_path = str(tmp_path / "t.json")
-        json.dump({"K": 2, "lambdas": [0.4, 0.4]}, open(thr_path, "w"))
+        Path(thr_path).write_text(json.dumps({"K": 2, "lambdas": [0.4, 0.4]}))
         out = str(tmp_path / "m.tnsr")
         assert main(["--config", cfg, "--quiet", "pseudolabel", probs_path,
                      thr_path, img_path, "--out", out]) == 2
@@ -203,15 +204,15 @@ class TestTrainCmd:
         out = str(tmp_path / "run0")
         assert main(["--config", cfg, "--quiet", "train", data_dir, "--out", out,
                      "--epochs", "0"]) == 0
-        assert open(os.path.join(out, "log.jsonl")).read() == ""
-        csv_lines = open(os.path.join(out, "log.csv")).read().splitlines()
+        assert Path(out, "log.jsonl").read_text() == ""
+        csv_lines = Path(out, "log.csv").read_text().splitlines()
         assert len(csv_lines) == 1 and csv_lines[0].startswith("epoch,")
 
     def test_training_outputs(self, tiny_dataset, tmp_path):
         cfg, data_dir, _ = tiny_dataset
         out = str(tmp_path / "run1")
         assert main(["--config", cfg, "--quiet", "train", data_dir, "--out", out]) == 0
-        lines = open(os.path.join(out, "log.jsonl")).read().splitlines()
+        lines = Path(out, "log.jsonl").read_text().splitlines()
         assert len(lines) == 2
         rec = json.loads(lines[-1])
         for key in ("L_C", "L_S", "L_D", "L_SRT", "total", "miou"):
@@ -221,7 +222,7 @@ class TestTrainCmd:
         # centroid banks: K x D matrix plus sidecar with gamma and steps
         bank = tensorio.read_tensor(os.path.join(out, "models", "centroids_source.tnsr"))
         assert bank.shape == (2, 2)
-        side = json.load(open(os.path.join(out, "models", "centroids_source.json")))
+        side = json.loads(Path(out, "models", "centroids_source.json").read_text())
         assert side["gamma"] == 0.7 and side["steps"] > 0
 
     @pytest.mark.parametrize("name", ["../../../outside", "..", "", "a/b", "a\\b"])
@@ -231,10 +232,26 @@ class TestTrainCmd:
         src = os.path.join(data_dir, "target", "images", "im_0000.tnsr")
         with open(src, "rb") as fh, open(tmp_path / "outside.tnsr", "wb") as out:
             out.write(fh.read())
-        labels_path = os.path.join(data_dir, "target", "labels.json")
-        doc = json.load(open(labels_path))
+        labels_path = Path(data_dir, "target", "labels.json")
+        doc = json.loads(labels_path.read_text())
         doc["files"][0] = name
-        json.dump(doc, open(labels_path, "w"))
+        labels_path.write_text(json.dumps(doc))
+        out = str(tmp_path / "run")
+        assert main(["--config", cfg, "--quiet", "train", data_dir, "--out", out,
+                     "--epochs", "1"]) == 2
+        assert not os.path.exists(os.path.join(out, "log.jsonl"))
+
+    @pytest.mark.parametrize("sub", ["source", "target"])
+    @pytest.mark.parametrize("edit", ["short", "long"])
+    def test_image_labels_must_match_files(self, tiny_dataset, tmp_path, sub, edit):
+        """A labels.json with one image label per file or bust: exit 2, not
+        a traceback, and no shifted labels."""
+        cfg, data_dir, _ = tiny_dataset
+        labels_path = Path(data_dir, sub, "labels.json")
+        doc = json.loads(labels_path.read_text())
+        labels = doc["image_labels"]
+        doc["image_labels"] = labels[:-1] if edit == "short" else [*labels, 0]
+        labels_path.write_text(json.dumps(doc))
         out = str(tmp_path / "run")
         assert main(["--config", cfg, "--quiet", "train", data_dir, "--out", out,
                      "--epochs", "1"]) == 2
@@ -245,7 +262,7 @@ class TestTrainCmd:
         out = str(tmp_path / "run2")
         assert main(["--config", cfg, "--quiet", "train", data_dir, "--out", out,
                      "--no-pl", "--no-srt", "--no-adv"]) == 0
-        rec = json.loads(open(os.path.join(out, "log.jsonl")).read().splitlines()[-1])
+        rec = json.loads(Path(out, "log.jsonl").read_text().splitlines()[-1])
         assert rec["L_D"] == 0.0 and rec["L_SRT"] == 0.0 and rec["pl_fraction"] == 0.0
 
     def test_eval_class_missing_from_source_masks(self, tiny_dataset, tmp_path):
@@ -267,8 +284,7 @@ class TestTrainCmd:
         assert main(["--config", cfg, "--quiet", "train", data_dir, "--out", out_a]) == 0
         assert main(["--config", cfg, "--quiet", "train", data_dir, "--out", out_b]) == 0
         for name in ("log.jsonl", "log.csv"):
-            assert open(os.path.join(out_a, name), "rb").read() == \
-                open(os.path.join(out_b, name), "rb").read()
+            assert Path(out_a, name).read_bytes() == Path(out_b, name).read_bytes()
 
 
 class TestEvalCmd:

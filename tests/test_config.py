@@ -5,6 +5,7 @@ silently reinterpret."""
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,7 +58,7 @@ ECHOED_CONFIG = """{
 def readme_config_table():
     """{key: default} from the README's configuration table; a row with
     one default gives it to every key of the row."""
-    text = open(README).read()
+    text = Path(README).read_text()
     section = text.split("### Configuration", 1)[1].split("\n## ", 1)[0]
     rows = []
     for line in section.splitlines():
@@ -111,7 +112,7 @@ class TestOverrides:
                      "--n-segments", "9", "--compactness", "5"]) == 0
         assert main(["--quiet", "slic", img, "--out", b,
                      "--n-segments", "9", "--compactness", "5"]) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
         expect = slic_params({**CONFIG_DEFAULTS, "n_segments": 9, "compactness": 5.0})
         np.testing.assert_array_equal(tensorio.read_tensor(a),
                                       slic(tensorio.read_tensor(img), expect))
@@ -124,8 +125,8 @@ class TestOverrides:
         assert main(["--quiet", "--config", cfg, "gen-synth", data_dir]) == 0
         assert main(["--quiet", "--config", cfg, "--seed", "4", "train", data_dir,
                      "--out", out, "--epochs", "1", "--no-pl"]) == 0
-        assert open(os.path.join(out, "config.json")).read() == ECHOED_CONFIG
-        rec = json.loads(open(os.path.join(out, "log.jsonl")).read())
+        assert Path(out, "config.json").read_text() == ECHOED_CONFIG
+        rec = json.loads(Path(out, "log.jsonl").read_text())
         assert rec["epoch"] == 0 and rec["pl_fraction"] == 0.0
 
 
@@ -141,12 +142,38 @@ class TestNoSilentCasts:
 
     @pytest.mark.parametrize("doc", [
         {"epochs": 1.7}, {"epochs": True}, {"n_segments": 9.5}, {"seed": False},
-        {"image_size": float("inf")}, {"batch_size": float("nan")},
+        {"image_size": float("inf")}, {"batch_size": float("nan")}, {"epochs": "1"},
     ])
     def test_int_needs_integral_number(self, tmp_path, doc):
         cfg = write_config(tmp_path / "c.json", **doc)
         assert main(["--quiet", "--config", cfg, "gen-synth", str(tmp_path / "d")]) == 2
         assert not os.path.exists(tmp_path / "d")
+
+    @pytest.mark.parametrize("doc", [
+        {"shift_noise": True}, {"shift_noise": "4"}, {"learning_rate": float("nan")},
+        {"eta": float("inf")}, {"mu": float("-inf")}, {"compactness": None},
+    ])
+    def test_float_needs_finite_number(self, tmp_path, doc):
+        cfg = write_config(tmp_path / "c.json", **doc)
+        assert main(["--quiet", "--config", cfg, "gen-synth", str(tmp_path / "d")]) == 2
+        assert not os.path.exists(tmp_path / "d")
+
+    def test_train_rejects_strings_and_non_finite(self, tiny_dataset, tmp_path, capsys):
+        """Each of these once trained: the strings were echoed as written,
+        and a NaN learning rate wrote NaN into every loss of the log."""
+        _, data_dir, _ = tiny_dataset
+        runs = [(["--config", write_config(tmp_path / "c0.json", shift_noise=True,
+                                           epochs="1")], []),
+                (["--config", write_config(tmp_path / "c1.json",
+                                           learning_rate=float("nan"))], []),
+                ([], ["--learning-rate", "nan"])]
+        for i, (before, after) in enumerate(runs):
+            out = str(tmp_path / f"run{i}")
+            assert main(["--quiet", *before, "train", data_dir, "--out", out, *after]) == 2
+            assert not os.path.exists(out)
+        err = capsys.readouterr().err
+        assert "shift_noise must be a finite number, got true" in err
+        assert "learning_rate must be a finite number, got NaN" in err
 
     def test_train_rejects_both(self, tiny_dataset, tmp_path, capsys):
         _, data_dir, _ = tiny_dataset

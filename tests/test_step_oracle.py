@@ -4,6 +4,8 @@ another order, so losses, gradients and candidate banks agree to 1e-12
 relative, and a short training run agrees to 1e-9 with byte-identical
 pseudo labels."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from segtransfer.core import IGNORE
 from segtransfer.errors import DimensionMismatchError
 from segtransfer.losses import LossWeights
 from segtransfer.toy_pipeline import (
-    BatchData,
     SynthConfig,
     TrainConfig,
     backward_all,
@@ -53,7 +54,35 @@ def random_banks(k, seed):
                          centroids=rng.normal(size=(k, k)), steps=2) for _ in range(2)]
 
 
-def make_batch(k=2, n_s=2, n_t=2, size=8, tgt_masks="mixed", seed=0):
+class Batch(NamedTuple):
+    """The step's stacked inputs in batch_forward's argument order, the
+    n_s source images first."""
+    feats: np.ndarray   # (B, H, W, D)
+    masks: np.ndarray   # (B, H, W) uint16
+    labels: np.ndarray  # (B,)
+    pooled: np.ndarray  # (B, D)
+    n_s: int
+
+    def lists(self) -> oracle.BatchData:
+        """The same images in the oracle's per-image list form."""
+        n = self.n_s
+        return oracle.BatchData(
+            src_feats=list(self.feats[:n]), src_masks=list(self.masks[:n]),
+            src_labels=list(self.labels[:n]), tgt_feats=list(self.feats[n:]),
+            tgt_masks=list(self.masks[n:]), tgt_labels=list(self.labels[n:]))
+
+
+def stacked(feats, masks, labels, n_s) -> Batch:
+    """A Batch whose pooled inputs are the mean of each image's feats."""
+    feats = np.asarray(feats, dtype=np.float64)
+    pooled = feats.reshape(len(feats), -1, feats.shape[-1]).mean(axis=1)
+    return Batch(feats, np.asarray(masks, dtype=np.uint16), np.asarray(labels), pooled, n_s)
+
+
+def make_batch(k=2, n_s=2, n_t=2, size=8, tgt_masks="mixed", seed=0) -> Batch:
+    """A synthetic batch: source images with their masks, target images
+    with random masks that are labelled ("full"), all IGNORE ("ignore")
+    or labelled at about 60% of pixels ("mixed")."""
     data = gen_synthetic(SynthConfig(image_size=size, num_classes=k, source_count=n_s,
                                      target_count=n_t, seed=seed))
     rng = np.random.default_rng(seed)
@@ -66,19 +95,14 @@ def make_batch(k=2, n_s=2, n_t=2, size=8, tgt_masks="mixed", seed=0):
             if tgt_masks == "mixed":
                 m[rng.random((size, size)) < 0.4] = IGNORE
         masks.append(m)
-    return BatchData(
-        src_feats=[pixel_features(im) for im in data["source"]["images"]],
-        src_masks=data["source"]["masks"],
-        src_labels=data["source"]["image_labels"],
-        tgt_feats=[pixel_features(im) for im in data["target"]["images"]],
-        tgt_masks=masks,
-        tgt_labels=data["target"]["image_labels"],
-    )
+    images = [*data["source"]["images"], *data["target"]["images"]]
+    return stacked([pixel_features(im) for im in images], [*data["source"]["masks"], *masks],
+                   [*data["source"]["image_labels"], *data["target"]["image_labels"]], n_s)
 
 
 def assert_step_matches(models, batch, banks, weights, use_adv, use_srt):
-    got = batch_forward(models, batch, *banks, weights, use_adv=use_adv, use_srt=use_srt)
-    want = oracle.batch_forward(models, batch, *banks, weights,
+    got = batch_forward(models, *batch, *banks, weights, use_adv=use_adv, use_srt=use_srt)
+    want = oracle.batch_forward(models, batch.lists(), *banks, weights,
                                 use_adv=use_adv, use_srt=use_srt)
     assert got.losses.keys() == want.losses.keys()
     for key in want.losses:
@@ -98,7 +122,7 @@ def assert_step_matches(models, batch, banks, weights, use_adv, use_srt):
 @pytest.mark.parametrize("use_adv", [False, True])
 def test_step_matches_oracle(use_adv, use_srt, k, tgt_masks):
     batch = make_batch(k=k, tgt_masks=tgt_masks, seed=k)
-    models = random_models(batch.src_feats[0].shape[2], k, seed=10 + k)
+    models = random_models(batch.feats.shape[3], k, seed=10 + k)
     weights = LossWeights(eta=0.3, mu=2.0, alpha=0.5, lambda_global=0.1)
     assert_step_matches(models, batch, random_banks(k, k), weights, use_adv, use_srt)
 
@@ -106,23 +130,8 @@ def test_step_matches_oracle(use_adv, use_srt, k, tgt_masks):
 @pytest.mark.parametrize("n_s,n_t", [(3, 1), (1, 4), (4, 2)])
 def test_unequal_domain_counts(n_s, n_t):
     batch = make_batch(n_s=n_s, n_t=n_t, seed=n_s * 10 + n_t)
-    models = random_models(batch.src_feats[0].shape[2], 2, seed=n_s)
+    models = random_models(batch.feats.shape[3], 2, seed=n_s)
     assert_step_matches(models, batch, random_banks(2, n_t), LossWeights(), True, True)
-
-
-def test_stacked_fields_and_pooled():
-    """Array fields and a precomputed pooled array give the same step as
-    per-image lists."""
-    batch = make_batch(k=3, n_s=3, n_t=2, seed=5)
-    models = random_models(batch.src_feats[0].shape[2], 3, seed=5)
-    feats = np.stack([*batch.src_feats, *batch.tgt_feats])
-    stacked = BatchData(
-        src_feats=feats[:3], src_masks=np.stack(batch.src_masks),
-        src_labels=np.asarray(batch.src_labels), tgt_feats=feats[3:],
-        tgt_masks=np.stack(batch.tgt_masks), tgt_labels=np.asarray(batch.tgt_labels),
-        pooled=feats.reshape(5, -1, feats.shape[-1]).mean(axis=1),
-    )
-    assert_step_matches(models, stacked, random_banks(3, 5), LossWeights(), True, True)
 
 
 @pytest.mark.parametrize("uniform_weights", [False, True])
@@ -131,9 +140,9 @@ def test_constant_probability_ties_pick_first_pixel(uniform_weights):
     statistic ties everywhere; its gradient must go to the first pixel,
     as np.argmax picks it."""
     batch = make_batch(n_s=2, n_t=2, tgt_masks="ignore", seed=3)
-    flat = np.full_like(batch.tgt_feats[0], 0.5)
-    batch.tgt_feats[0] = flat
-    models = random_models(flat.shape[2], 2, seed=3)
+    batch.feats[batch.n_s] = 0.5
+    batch = stacked(batch.feats, batch.masks, batch.labels, batch.n_s)
+    models = random_models(batch.feats.shape[3], 2, seed=3)
     if uniform_weights:
         models.segmenter.weights[:] = 0.0  # every pixel of every image ties
     weights = LossWeights(eta=1.0, mu=0.0)
@@ -142,11 +151,10 @@ def test_constant_probability_ties_pick_first_pixel(uniform_weights):
 
 def test_label_out_of_range_rejected():
     batch = make_batch(seed=1)
-    batch.tgt_masks[0] = batch.tgt_masks[0].copy()
-    batch.tgt_masks[0][0, 0] = 2
-    models = random_models(batch.src_feats[0].shape[2], 2, seed=1)
+    batch.masks[batch.n_s, 0, 0] = 2
+    models = random_models(batch.feats.shape[3], 2, seed=1)
     with pytest.raises(DimensionMismatchError):
-        batch_forward(models, batch, *random_banks(2, 1), LossWeights())
+        batch_forward(models, *batch, *random_banks(2, 1), LossWeights())
 
 
 @pytest.mark.parametrize("overrides", [
@@ -179,30 +187,42 @@ def test_train_matches_oracle_loop(overrides):
         assert_close(a.weights, b.weights, rtol=1e-9)
 
 
-@pytest.mark.parametrize("field", ["tgt_feats", "tgt_masks"])
+@pytest.mark.parametrize("field", ["feats", "masks", "labels", "pooled"])
 def test_mismatched_sizes_rejected(field):
-    """A transposed image or mask holds as many pixels as the others but
-    would pair features with the wrong labels."""
-    data = gen_synthetic(SynthConfig(image_size=8, source_count=2, target_count=2, seed=4))
-    batch = BatchData(
-        src_feats=[pixel_features(im[:6]) for im in data["source"]["images"]],
-        src_masks=[m[:6] for m in data["source"]["masks"]],
-        src_labels=data["source"]["image_labels"],
-        tgt_feats=[pixel_features(im[:6]) for im in data["target"]["images"]],
-        tgt_masks=[m[:6] for m in data["target"]["eval_masks"]],
-        tgt_labels=data["target"]["image_labels"],
-    )
-    if field == "tgt_feats":
-        batch.tgt_feats[1] = pixel_features(data["target"]["images"][1][:, :6])
-    else:
-        batch.tgt_masks[1] = data["target"]["eval_masks"][1][:, :6]
-    models = random_models(batch.src_feats[0].shape[2], 2, seed=4)
+    """Transposed feats or masks hold as many pixels as the others but
+    would pair features with the wrong labels; labels or pooled one row
+    short miss an image."""
+    batch = make_batch(seed=4)
+    batch = batch._replace(feats=batch.feats[:, :6], masks=batch.masks[:, :6])
+    bad = {"feats": batch.feats.transpose(0, 2, 1, 3), "masks": batch.masks.transpose(0, 2, 1),
+           "labels": batch.labels[:-1], "pooled": batch.pooled[:-1]}[field]
+    models = random_models(batch.feats.shape[3], 2, seed=4)
     with pytest.raises(DimensionMismatchError):
-        batch_forward(models, batch, *random_banks(2, 4), LossWeights())
+        batch_forward(models, *batch._replace(**{field: bad}), *random_banks(2, 4),
+                      LossWeights())
 
 
 def test_train_rejects_mixed_image_sizes():
     data = gen_synthetic(SynthConfig(image_size=8, source_count=2, target_count=2, seed=4))
     data["target"]["images"][1] = data["target"]["images"][1][:, :6]
+    with pytest.raises(DimensionMismatchError):
+        train(TrainConfig(epochs=1, use_pl=False), data)
+
+
+@pytest.mark.parametrize("domain,key,edit", [
+    ("source", "masks", "short"),
+    ("source", "masks", "resized"),
+    ("source", "image_labels", "short"),
+    ("source", "image_labels", "long"),
+    ("target", "image_labels", "short"),
+    ("target", "image_labels", "long"),
+])
+def test_train_rejects_per_image_lists_of_wrong_length(domain, key, edit):
+    """One label array spans both domains, so a long source list would
+    shift every target label; a short one would leave images unlabelled."""
+    data = gen_synthetic(SynthConfig(image_size=8, source_count=3, target_count=2, seed=4))
+    edits = {"short": lambda v: v[:-1], "long": lambda v: [*v, 0],
+             "resized": lambda v: [v[0][:, :6], *v[1:]]}
+    data[domain][key] = edits[edit](data[domain][key])
     with pytest.raises(DimensionMismatchError):
         train(TrainConfig(epochs=1, use_pl=False), data)

@@ -6,9 +6,9 @@ import pytest
 
 from segtransfer.core import IGNORE
 from segtransfer.losses import LossWeights
-from segtransfer.toy_pipeline import BatchData, init_models
+from segtransfer.toy_pipeline import init_models
 from segtransfer.transfer import CentroidBank
-from test_step_oracle import assert_step_matches
+from test_step_oracle import assert_step_matches, stacked
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -29,14 +29,11 @@ def test_stacked_step_matches_oracle(h, w, d, k, n_s, n_t, ignore_frac, use_adv,
     def masks(n):
         out = rng.integers(0, k, (n, h, w)).astype(np.uint16)
         out[rng.random((n, h, w)) < ignore_frac] = IGNORE
-        return list(out)
+        return out
 
-    batch = BatchData(
-        src_feats=list(rng.random((n_s, h, w, d))), src_masks=masks(n_s),
-        src_labels=list(rng.integers(0, 2, n_s)),
-        tgt_feats=list(rng.random((n_t, h, w, d))), tgt_masks=masks(n_t),
-        tgt_labels=list(rng.integers(0, 2, n_t)),
-    )
+    src = rng.random((n_s, h, w, d)), masks(n_s), rng.integers(0, 2, n_s)
+    tgt = rng.random((n_t, h, w, d)), masks(n_t), rng.integers(0, 2, n_t)
+    batch = stacked(*map(np.concatenate, zip(src, tgt)), n_s)
     models = init_models(d, k, 0)
     for m in (models.segmenter, models.classifier, models.discriminator):
         m.weights = rng.normal(0.0, 1.0, m.weights.shape)

@@ -3,9 +3,7 @@ import pytest
 
 from segtransfer.core import IGNORE, validate_prob_map
 from segtransfer.losses import LossWeights
-from segtransfer.rng import SplitMix64
 from segtransfer.toy_pipeline import (
-    BatchData,
     SynthConfig,
     ToyModels,
     TrainConfig,
@@ -19,6 +17,8 @@ from segtransfer.toy_pipeline import (
     train,
 )
 from segtransfer.transfer import CentroidBank
+from step_oracle import _with_bias
+from test_step_oracle import make_batch
 
 
 class TestPixelFeatures:
@@ -112,38 +112,16 @@ class TestGenSynthetic:
         assert abs(mean_s - mean_t) / mean_s < 0.02
 
 
-def make_batch(seed=0, image_size=8, n=2):
-    data = gen_synthetic(SynthConfig(image_size=image_size, source_count=n,
-                                     target_count=n, seed=seed))
-    rng = SplitMix64(seed).spawn(5)
-    tgt_masks = []
-    for _ in range(n):
-        raw = rng.integers(0, 3, (image_size, image_size))
-        m = raw.astype(np.uint16)
-        m[raw == 2] = IGNORE
-        tgt_masks.append(m)
-    return BatchData(
-        src_feats=[pixel_features(im) for im in data["source"]["images"]],
-        src_masks=data["source"]["masks"],
-        src_labels=data["source"]["image_labels"],
-        tgt_feats=[pixel_features(im) for im in data["target"]["images"]],
-        tgt_masks=tgt_masks,
-        tgt_labels=data["target"]["image_labels"],
-    )
-
-
 class TestBackwardAll:
     def test_zero_weight_symmetric_classifier_gradient(self):
         """With zero weights every prediction is 0.5; on a label-balanced
         batch the bias and coordinate feature components (constant across
         images) cancel exactly."""
-        batch = make_batch(seed=1)
-        batch.src_labels = [0, 1]
-        batch.tgt_labels = [1, 0]
-        models = init_models(batch.src_feats[0].shape[2], 2, 0)
+        batch = make_batch(seed=1)._replace(labels=np.array([0, 1, 1, 0]))
+        models = init_models(batch.feats.shape[3], 2, 0)
         models.classifier.weights[:] = 0.0
         banks = CentroidBank(num_classes=2, dim=2, gamma=0.7)
-        state = batch_forward(models, batch, banks, banks, LossWeights())
+        state = batch_forward(models, *batch, banks, banks, LossWeights())
         g = backward_all(models, state)["classifier"]
         assert g[-1] == pytest.approx(0.0, abs=1e-12)   # bias
         assert g[1] == pytest.approx(0.0, abs=1e-12)    # row coordinate
@@ -153,20 +131,16 @@ class TestBackwardAll:
         """With eta = mu = 0 and an all-IGNORE target, segmenter gradients
         equal those of the source-only supervised loss."""
         batch = make_batch(seed=2)
-        h = batch.tgt_feats[0].shape[0]
-        batch.tgt_masks = [np.full((h, h), IGNORE, dtype=np.uint16)
-                           for _ in batch.tgt_masks]
-        models = init_models(batch.src_feats[0].shape[2], 2, 3)
+        n_s = batch.n_s
+        batch.masks[n_s:] = IGNORE
+        models = init_models(batch.feats.shape[3], 2, 3)
         banks = CentroidBank(num_classes=2, dim=2, gamma=0.7)
         w = LossWeights(eta=0.0, mu=0.0)
-        state = batch_forward(models, batch, banks, banks, w)
+        state = batch_forward(models, *batch, banks, banks, w)
         g_full = backward_all(models, state)["segmenter"]
 
-        from segtransfer.losses import segmentation_loss
-        from segtransfer.toy_pipeline import _with_bias
         g_manual = np.zeros_like(models.segmenter.weights)
-        n_s = len(batch.src_feats)
-        for feats, mask in zip(batch.src_feats, batch.src_masks):
+        for feats, mask in zip(batch.feats[:n_s], batch.masks[:n_s]):
             probs = segmenter_forward(models.segmenter, feats)
             hw = mask.size
             flat_p = probs.reshape(hw, 2)
