@@ -41,6 +41,13 @@ EXIT_NUMERIC = 4
 
 MAX_SEGMENT_ID = 65534  # 65535 is the mask IGNORE sentinel
 
+# a dataset directory: domain -> (image directory, mask directory, the masks'
+# key in gen_synthetic's dict); <domain>/labels.json lists files and image labels
+DATASET_LAYOUT = {
+    "source": ("source/images", "source/masks", "masks"),
+    "target": ("target/images", "target_eval/masks", "eval_masks"),
+}
+
 # the flat keys that differ from their dataclass field names
 _RENAMES = {(CurriculumSchedule, "step"): "p_step", (SlicParams, "iterations"): "slic_iterations"}
 
@@ -113,10 +120,6 @@ def load_config(path=None, overrides=None) -> dict:
     return cfg
 
 
-def slic_params(cfg: dict) -> SlicParams:
-    return _build(SlicParams, cfg)
-
-
 def _say(args, msg):
     if not args.quiet:
         print(msg)
@@ -132,33 +135,17 @@ def cmd_gen_synth(args) -> int:
     data = gen_synthetic(scfg)
 
     out = args.out
-    os.makedirs(os.path.join(out, "source", "images"), exist_ok=True)
-    os.makedirs(os.path.join(out, "source", "masks"), exist_ok=True)
-    os.makedirs(os.path.join(out, "target", "images"), exist_ok=True)
-    os.makedirs(os.path.join(out, "target_eval", "masks"), exist_ok=True)
+    for domain, (image_dir, mask_dir, mask_key) in DATASET_LAYOUT.items():
+        part = data[domain]
+        names = [f"im_{i:04d}" for i in range(len(part["images"]))]
+        for sub, arrays, dtype in ((image_dir, part["images"], tensorio.DTYPE_U8),
+                                   (mask_dir, part[mask_key], tensorio.DTYPE_U16)):
+            os.makedirs(os.path.join(out, sub), exist_ok=True)
+            for name, arr in zip(names, arrays):
+                tensorio.write_tensor(os.path.join(out, sub, name + ".tnsr"), arr, dtype)
+        tensorio.atomic_write_json(os.path.join(out, domain, "labels.json"),
+                                   {"files": names, "image_labels": part["image_labels"]})
     tensorio.atomic_write_json(os.path.join(out, "config.json"), cfg)
-
-    names = {"source": [], "target": []}
-    for i, (img, mask) in enumerate(zip(data["source"]["images"], data["source"]["masks"])):
-        name = f"im_{i:04d}"
-        names["source"].append(name)
-        tensorio.write_tensor(os.path.join(out, "source", "images", name + ".tnsr"),
-                              img, tensorio.DTYPE_U8)
-        tensorio.write_tensor(os.path.join(out, "source", "masks", name + ".tnsr"),
-                              mask, tensorio.DTYPE_U16)
-    for j, (img, mask) in enumerate(zip(data["target"]["images"], data["target"]["eval_masks"])):
-        name = f"im_{j:04d}"
-        names["target"].append(name)
-        tensorio.write_tensor(os.path.join(out, "target", "images", name + ".tnsr"),
-                              img, tensorio.DTYPE_U8)
-        tensorio.write_tensor(os.path.join(out, "target_eval", "masks", name + ".tnsr"),
-                              mask, tensorio.DTYPE_U16)
-    tensorio.atomic_write_json(os.path.join(out, "source", "labels.json"),
-                               {"files": names["source"],
-                                "image_labels": data["source"]["image_labels"]})
-    tensorio.atomic_write_json(os.path.join(out, "target", "labels.json"),
-                               {"files": names["target"],
-                                "image_labels": data["target"]["image_labels"]})
     tensorio.atomic_write_json(os.path.join(out, "summary.json"), {
         "source_count": scfg.source_count,
         "target_count": scfg.target_count,
@@ -207,7 +194,7 @@ def cmd_thresholds(args) -> int:
 def cmd_slic(args) -> int:
     cfg = load_config(args.config, vars(args))
     img = tensorio.read_tensor(args.image)
-    labels = slic(img, slic_params(cfg))
+    labels = slic(img, _build(SlicParams, cfg))
     n_final = int(labels.max()) + 1
     if n_final > MAX_SEGMENT_ID:
         raise TooManySegmentsError(f"{n_final} segments exceed the 16-bit map format")
@@ -223,7 +210,7 @@ def cmd_pseudolabel(args) -> int:
     with open(args.thresholds) as fh:
         thr = ClassThresholds.from_json_dict(json.load(fh))
     img = tensorio.read_tensor(args.image)
-    sp = slic(img, slic_params(cfg))
+    sp = slic(img, _build(SlicParams, cfg))
     mask = generate(probs, thr, sp)
     tensorio.write_tensor(args.out, mask, tensorio.DTYPE_U16)
 
@@ -237,51 +224,40 @@ def cmd_pseudolabel(args) -> int:
 
 
 def _load_dataset(data_dir):
-    def load_labels(sub):
-        with open(os.path.join(data_dir, sub, "labels.json")) as fh:
-            doc = json.load(fh)
-        for name in doc["files"]:
+    """The dataset in gen_synthetic's form, and the target file names."""
+    docs = {}
+    for domain in DATASET_LAYOUT:
+        with open(os.path.join(data_dir, domain, "labels.json")) as fh:
+            docs[domain] = json.load(fh)
+        for name in docs[domain]["files"]:
             # names are joined into paths: keep them inside the dataset
             if (not isinstance(name, str) or name in ("", ".", "..")
                     or any(sep in name for sep in ("/", "\\", os.sep))):
-                raise ValidationError(f"{sub}/labels.json: {name!r} is not a plain file name")
-        return doc
-
-    src_doc = load_labels("source")
-    tgt_doc = load_labels("target")
-    src_images, src_masks = [], []
-    for name in src_doc["files"]:
-        src_images.append(tensorio.read_tensor(
-            os.path.join(data_dir, "source", "images", name + ".tnsr")))
-        src_masks.append(tensorio.read_tensor(
-            os.path.join(data_dir, "source", "masks", name + ".tnsr")))
-    tgt_images, tgt_eval = [], []
-    for name in tgt_doc["files"]:
-        tgt_images.append(tensorio.read_tensor(
-            os.path.join(data_dir, "target", "images", name + ".tnsr")))
-        tgt_eval.append(tensorio.read_tensor(
-            os.path.join(data_dir, "target_eval", "masks", name + ".tnsr")))
-    num_classes = 1 + max(int(m[m != IGNORE].max(initial=0)) for m in src_masks)
-    return {
-        "source": {"images": src_images, "masks": src_masks,
-                   "image_labels": src_doc["image_labels"]},
-        "target": {"images": tgt_images, "image_labels": tgt_doc["image_labels"],
-                   "eval_masks": tgt_eval},
-        "num_classes": max(num_classes, 2),
-    }, tgt_doc["files"]
+                raise ValidationError(f"{domain}/labels.json: {name!r} is not a plain file name")
+    data = {}
+    for domain, (image_dir, mask_dir, mask_key) in DATASET_LAYOUT.items():
+        data[domain] = {"images": [], mask_key: [], "image_labels": docs[domain]["image_labels"]}
+        for name in docs[domain]["files"]:
+            for key, sub in (("images", image_dir), (mask_key, mask_dir)):
+                data[domain][key].append(
+                    tensorio.read_tensor(os.path.join(data_dir, sub, name + ".tnsr")))
+    # K is taken from the source masks, and is at least 2
+    data["num_classes"] = 1 + max([1, *(int(m[m != IGNORE].max(initial=0))
+                                        for m in data["source"]["masks"])])
+    return data, docs["target"]["files"]
 
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config, vars(args))
     tcfg = _build(TrainConfig, cfg)
     data, tgt_names = _load_dataset(args.data_dir)
+    result = train(tcfg, data)
 
+    # the run directory is made only once train has accepted the dataset
     out = args.out
     os.makedirs(os.path.join(out, "models"), exist_ok=True)
     os.makedirs(os.path.join(out, "pseudo_labels"), exist_ok=True)
     tensorio.atomic_write_json(os.path.join(out, "config.json"), cfg)
-
-    result = train(tcfg, data)
 
     log_lines = [json.dumps(rec, sort_keys=True) for rec in result.log]
     tensorio.atomic_write_bytes(os.path.join(out, "log.jsonl"),
@@ -296,10 +272,9 @@ def cmd_train(args) -> int:
         writer.writerow([rec.get(c, "") for c in columns])
     tensorio.atomic_write_bytes(os.path.join(out, "log.csv"), buf.getvalue().encode())
 
-    for name in ("segmenter", "classifier", "discriminator"):
+    for name, weights in result.models._asdict().items():
         tensorio.write_tensor(os.path.join(out, "models", name + ".tnsr"),
-                              getattr(result.models, name).weights.astype(np.float32),
-                              tensorio.DTYPE_F32)
+                              weights.astype(np.float32), tensorio.DTYPE_F32)
     for bank, tag in ((result.bank_s, "source"), (result.bank_t, "target")):
         tensorio.write_tensor(os.path.join(out, "models", f"centroids_{tag}.tnsr"),
                               bank.centroids.astype(np.float32), tensorio.DTYPE_F32)

@@ -7,7 +7,9 @@ pooled statistics of the segmentation softmax map.  The loop runs the
 full curriculum: per-epoch class-balance thresholds, superpixel-refined
 pseudo labels, exponentially-weighted centroid alignment (computed on
 the softmax outputs, the toy analog of penultimate features), and
-output-space adversarial alignment.
+output-space adversarial alignment.  The models are plain weight
+arrays, each with its bias last, held by one `ToyModels` named tuple;
+`backward_all` returns the gradients as a `ToyModels` too.
 
 A training step takes one layout: arrays stacked along axis 0, the
 source images first, then the target ones -- pixel features
@@ -21,11 +23,13 @@ buffer, so backpropagation never unrolls across steps.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import IGNORE, argmax_map
-from .errors import DimensionMismatchError, EmptyInputError, InvalidConfigError
+from .errors import (DimensionMismatchError, EmptyInputError, InvalidConfigError,
+                     OutOfRangeError)
 from .losses import (
     PROB_CLAMP,
     LossWeights,
@@ -99,30 +103,11 @@ class TrainConfig:
             raise InvalidConfigError("gamma must be in [0, 1)")
 
 
-@dataclass
-class ToySegmenter:
-    weights: np.ndarray  # (D+1, K), last row is the bias
-
-    @property
-    def num_classes(self):
-        return self.weights.shape[1]
-
-
-@dataclass
-class ToyClassifier:
-    weights: np.ndarray  # (D+1,)
-
-
-@dataclass
-class ToyDiscriminator:
-    weights: np.ndarray  # (3K+1,), over per-class mean/max/variance stats
-
-
-@dataclass
-class ToyModels:
-    segmenter: ToySegmenter
-    classifier: ToyClassifier
-    discriminator: ToyDiscriminator
+class ToyModels(NamedTuple):
+    """The weights of the three toy models, each with its bias last."""
+    segmenter: np.ndarray      # (D+1, K)
+    classifier: np.ndarray     # (D+1,), over mean-pooled features
+    discriminator: np.ndarray  # (3K+1,), over per-class mean/max/variance stats
 
 
 def init_models(feature_dim: int, num_classes: int, seed: int) -> ToyModels:
@@ -130,7 +115,7 @@ def init_models(feature_dim: int, num_classes: int, seed: int) -> ToyModels:
     w2 = WEIGHT_INIT_SCALE * rng.spawn(11).normal((feature_dim + 1, num_classes))
     w1 = WEIGHT_INIT_SCALE * rng.spawn(12).normal((feature_dim + 1,))
     wd = WEIGHT_INIT_SCALE * rng.spawn(13).normal((3 * num_classes + 1,))
-    return ToyModels(ToySegmenter(w2), ToyClassifier(w1), ToyDiscriminator(wd))
+    return ToyModels(w2, w1, wd)
 
 
 # ---------------------------------------------------------------------------
@@ -171,33 +156,37 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _check_feature_dim(seg: ToySegmenter, d: int):
-    if d + 1 != seg.weights.shape[0]:
-        raise DimensionMismatchError(
-            f"feature dim {d} incompatible with weights {seg.weights.shape}")
+def _logistic(x, w) -> np.ndarray:
+    """Logistic regression with weights w, bias last, over the rows of x."""
+    return _sigmoid(x @ w[:-1] + w[-1])
 
 
-def _class_major_probs(seg: ToySegmenter, feats_flat) -> np.ndarray:
+def _check_feature_dim(seg, d: int):
+    if d + 1 != seg.shape[0]:
+        raise DimensionMismatchError(f"feature dim {d} incompatible with weights {seg.shape}")
+
+
+def _class_major_probs(seg, feats_flat) -> np.ndarray:
     """(N, D) features -> (K, N) softmax probabilities.
 
     Class-major, so that every reduction over the K classes or over the
     pixels of one image runs along long contiguous rows.
     """
-    z = seg.weights[:-1].T @ feats_flat.T
-    z += seg.weights[-1][:, None]
+    z = seg[:-1].T @ feats_flat.T
+    z += seg[-1][:, None]
     z -= z.max(axis=0)
     np.exp(z, out=z)
     z /= z.sum(axis=0)
     return z
 
 
-def segmenter_forward(seg: ToySegmenter, feats) -> np.ndarray:
-    """Per-pixel affine map + softmax -> (H, W, K) probability map (a
-    transposed view of the class-major result)."""
+def segmenter_forward(seg, feats) -> np.ndarray:
+    """Per-pixel affine map with (D+1, K) weights seg + softmax -> (H, W,
+    K) probability map (a transposed view of the class-major result)."""
     feats = np.asarray(feats, dtype=np.float64)
     h, w, d = feats.shape
     _check_feature_dim(seg, d)
-    return _class_major_probs(seg, feats.reshape(h * w, d)).T.reshape(h, w, seg.num_classes)
+    return _class_major_probs(seg, feats.reshape(h * w, d)).T.reshape(h, w, seg.shape[1])
 
 
 def _map_stats(probs) -> np.ndarray:
@@ -270,7 +259,7 @@ def batch_forward(models: ToyModels, feats, masks, labels, pooled, n_s: int,
     banks advanced by this batch's centroids; they are returned for the
     caller to commit after the gradient step.
     """
-    k = models.segmenter.num_classes
+    k = models.segmenter.shape[1]
     n_img, h, w, d = feats.shape
     n_t = n_img - n_s
     if np.shape(masks) != (n_img, h, w) or len(labels) != n_img or len(pooled) != n_img:
@@ -282,8 +271,7 @@ def batch_forward(models: ToyModels, feats, masks, labels, pooled, n_s: int,
     image_n = np.repeat([float(n_s), float(n_t)], [n_s, n_t])
     labels = np.asarray(labels, dtype=np.float64)
 
-    w1 = models.classifier.weights
-    cls = _sigmoid(pooled @ w1[:-1] + w1[-1])
+    cls = _logistic(pooled, models.classifier)
     pc = np.clip(cls, PROB_CLAMP, 1.0 - PROB_CLAMP)
     l_c = _domain_sum(-(labels * np.log(pc) + (1.0 - labels) * np.log(1.0 - pc)), image_n)
 
@@ -317,8 +305,7 @@ def batch_forward(models: ToyModels, feats, masks, labels, pooled, n_s: int,
     stats = disc = None
     if use_adv:
         stats = _map_stats(probs.reshape(k, n_img, hw))
-        wd = models.discriminator.weights
-        disc = _sigmoid(stats @ wd[:-1] + wd[-1])
+        disc = _logistic(stats, models.discriminator)
         l_adv, _ = adversarial_loss_for_segmenter(disc[n_s:])
         l_disc, _, _ = discriminator_loss(disc[:n_s], disc[n_s:])
     else:
@@ -343,14 +330,14 @@ def batch_forward(models: ToyModels, feats, masks, labels, pooled, n_s: int,
     )
 
 
-def backward_all(models: ToyModels, state: ForwardState) -> dict:
+def backward_all(models: ToyModels, state: ForwardState) -> ToyModels:
     """Analytic gradients of the combined objective.
 
-    Returns {"classifier", "segmenter", "discriminator"}: the classifier
-    block carries d L_C, the segmenter block d (L_S + eta*L_adv +
-    mu*L_SRT) with the discriminator frozen, and the discriminator block
-    d L_disc with the segmenter outputs frozen -- the standard
-    alternating scheme for the adversarial pair.
+    Returns them as a ToyModels: the classifier block carries d L_C,
+    the segmenter block d (L_S + eta*L_adv + mu*L_SRT) with the
+    discriminator frozen, and the discriminator block d L_disc with the
+    segmenter outputs frozen -- the standard alternating scheme for the
+    adversarial pair.
     """
     n_s, eta, mu = state.n_s, state.eta, state.mu
     probs, target = state.probs, state.target
@@ -372,7 +359,7 @@ def backward_all(models: ToyModels, state: ForwardState) -> dict:
             g_p[:, :split] = mu * (grad_cs.T @ target[:, :split])
             g_p[:, split:] = mu * (grad_ct.T @ target[:, split:])
         if eta != 0.0:
-            disc_w = models.discriminator.weights[:-1]
+            disc_w = models.discriminator[:-1]
             w_mean = disc_w[0:k, None, None]
             w_max = disc_w[k:2 * k, None]
             w_var = disc_w[2 * k:3 * k, None, None]
@@ -388,12 +375,12 @@ def backward_all(models: ToyModels, state: ForwardState) -> dict:
 
     g_w2 = np.vstack([state.feats.T @ g_z.T, g_z.sum(axis=1)])
 
-    g_wd = np.zeros_like(models.discriminator.weights)
+    g_wd = np.zeros_like(models.discriminator)
     if state.disc is not None:
         g_d = np.concatenate([state.disc[:n_s], state.disc[n_s:] - 1.0]) / state.image_n
         g_wd = np.append(g_d @ state.stats, g_d.sum())
 
-    return {"classifier": g_w1, "segmenter": g_w2, "discriminator": g_wd}
+    return ToyModels(g_w2, g_w1, g_wd)
 
 
 # ---------------------------------------------------------------------------
@@ -479,11 +466,18 @@ def _all_ignore(shape):
     return np.full(shape, IGNORE, dtype=np.uint16)
 
 
-def _stack_features(images) -> np.ndarray:
-    """pixel_features of every image, written in place into one
-    (N, H, W, D) array."""
+def _stack_inputs(data):
+    """Check a gen_synthetic-style dataset and stack its step inputs along
+    axis 0, the source images first: pixel features (N, H, W, D), masks
+    (N, H, W) whose target rows are all IGNORE, image-level labels (N,)
+    and mean-pooled features (N, D)."""
+    src, tgt = data["source"], data["target"]
+    n_src, n_tgt = len(src["images"]), len(tgt["images"])
+    if n_src == 0 or n_tgt == 0:
+        raise EmptyInputError("training needs at least one source and one target image")
+    images = [*src["images"], *tgt["images"]]
     first = pixel_features(images[0])
-    feats = np.empty((len(images),) + first.shape)
+    feats = np.empty((len(images),) + first.shape)  # written in place, image by image
     feats[0] = first
     for i in range(1, len(images)):
         f = pixel_features(images[i])
@@ -491,7 +485,22 @@ def _stack_features(images) -> np.ndarray:
             raise DimensionMismatchError(
                 f"image {i} has shape {f.shape[:2]}, image 0 {first.shape[:2]}")
         feats[i] = f
-    return feats
+    n_img, h, w, feature_dim = feats.shape
+    for name, given, n in (("source", src["masks"], n_src),
+                           ("target eval", tgt["eval_masks"], n_tgt)):
+        if len(given) != n or any(np.shape(m) != (h, w) for m in given):
+            raise DimensionMismatchError(f"every {name} image needs a mask of its size")
+    if len(src["image_labels"]) != n_src or len(tgt["image_labels"]) != n_tgt:
+        raise DimensionMismatchError("every image needs one image-level label")
+    labels = [*src["image_labels"], *tgt["image_labels"]]
+    for y in labels:
+        # True, "1" and 0.5 would pass a float conversion
+        if isinstance(y, bool) or not isinstance(y, (int, np.integer)) or y not in (0, 1):
+            raise OutOfRangeError(f"image-level label {y!r} is not the integer 0 or 1")
+    masks = _all_ignore((n_img, h, w))
+    masks[:n_src] = src["masks"]
+    pooled = feats.reshape(n_img, -1, feature_dim).mean(axis=1)
+    return feats, masks, np.array(labels, dtype=np.float64), pooled
 
 
 def _target_probs(models, tall_feats, pooled, refine):
@@ -499,8 +508,7 @@ def _target_probs(models, tall_feats, pooled, refine):
     (N*H, W, K) map, under the current weights."""
     probs = segmenter_forward(models.segmenter, tall_feats)
     if refine:
-        w = models.classifier.weights
-        preds = _sigmoid(pooled @ w[:-1] + w[-1])
+        preds = _logistic(pooled, models.classifier)
         rows = tall_feats.shape[0] // pooled.shape[0]
         probs = refine_probs_by_classification(probs, np.repeat(preds, rows)[:, None, None])
     return probs
@@ -521,35 +529,25 @@ def _tall_superpixels(images, params) -> np.ndarray:
 def train(cfg: TrainConfig, data: dict) -> TrainResult:
     """Run the full curriculum on a gen_synthetic-style dataset.
 
-    All images must share one size, and each domain's per-image lists
-    must hold one entry per image.  Features, their mean-pooled
-    classifier inputs, masks and image-level labels are each one array
-    over all images, source first, built once; the target rows of the
-    masks hold the current pseudo labels.  A step gathers its batch from
-    these arrays by one index array.  The target images are handled as
-    one tall (N*H, W) map: each epoch makes one forward, one threshold
-    pass, one pseudo-label pass and one evaluation over all of them.
+    Each domain needs at least one image, all images must share one
+    size, each domain's per-image lists must hold one entry per image,
+    and every image-level label must be the integer 0 or 1.  Features,
+    their mean-pooled classifier inputs, masks and image-level labels
+    are each one array over all images, source first, built once; the
+    target rows of the masks hold the current pseudo labels.  A step
+    gathers its batch from these arrays by one index array.  The target
+    images are handled as one tall (N*H, W) map: each epoch makes one
+    forward, one threshold pass, one pseudo-label pass and one evaluation
+    over all of them.
     """
     k = int(data["num_classes"])
-    src, tgt = data["source"], data["target"]
-    n_src, n_tgt = len(src["images"]), len(tgt["images"])
-    if n_tgt == 0:
-        raise EmptyInputError("training needs at least one target image")
-
-    feats = _stack_features([*src["images"], *tgt["images"]])
+    tgt = data["target"]
+    feats, masks, labels, pooled = _stack_inputs(data)
     n_img, h, w, feature_dim = feats.shape
-    for name, given, n in (("source", src["masks"], n_src),
-                           ("target eval", tgt["eval_masks"], n_tgt)):
-        if len(given) != n or any(np.shape(m) != (h, w) for m in given):
-            raise DimensionMismatchError(f"every {name} image needs a mask of its size")
-    if len(src["image_labels"]) != n_src or len(tgt["image_labels"]) != n_tgt:
-        raise DimensionMismatchError("every image needs one image-level label")
-    pooled = feats.reshape(n_img, -1, feature_dim).mean(axis=1)
+    n_tgt = len(tgt["images"])
+    n_src = n_img - n_tgt
     tgt_tall, tgt_pooled = feats[n_src:].reshape(n_tgt * h, w, feature_dim), pooled[n_src:]
     eval_tall = np.concatenate(tgt["eval_masks"])
-    labels = np.array([*src["image_labels"], *tgt["image_labels"]], dtype=np.float64)
-    masks = _all_ignore((n_img, h, w))
-    masks[:n_src] = src["masks"]
     pseudo_tall = masks[n_src:].reshape(n_tgt * h, w)  # a view: writes land in masks
 
     models = init_models(feature_dim, k, cfg.seed)
@@ -600,11 +598,8 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
 
             lr = cfg.learning_rate * cfg.lr_decay_rate ** (step // cfg.lr_decay_step)
             last_lr = lr
-            models.segmenter.weights = models.segmenter.weights - lr * grads["segmenter"]
-            models.classifier.weights = models.classifier.weights - lr * grads["classifier"]
-            if cfg.use_adv:
-                models.discriminator.weights = (
-                    models.discriminator.weights - lr * grads["discriminator"])
+            # without use_adv the discriminator's gradient is exactly zero
+            models = ToyModels(*(w - lr * g for w, g in zip(models, grads)))
             bank_s, bank_t = state.new_bank_s, state.new_bank_t
             step += 1
             n_batches += 1
@@ -669,16 +664,12 @@ def gradcheck(seed: int = 0) -> dict:
     k = 2
     rng = SplitMix64(seed).spawn(999)
 
-    feats = _stack_features([*data["source"]["images"], *data["target"]["images"]])
-    dim = feats.shape[3]
-    models = init_models(dim, k, seed + 1)
-    models.segmenter.weights += 0.2 * rng.normal(models.segmenter.weights.shape)
-    models.classifier.weights += 0.2 * rng.normal(models.classifier.weights.shape)
-    models.discriminator.weights += 0.2 * rng.normal(models.discriminator.weights.shape)
+    feats, masks, labels, pooled = _stack_inputs(data)
+    models = init_models(feats.shape[3], k, seed + 1)
+    for w in models:
+        w += 0.2 * rng.normal(w.shape)
 
     # fixed pseudo masks with some IGNORE pixels
-    masks = _all_ignore(feats.shape[:3])
-    masks[:GRADCHECK_IMAGES] = data["source"]["masks"]
     for m in masks[GRADCHECK_IMAGES:]:
         raw = rng.integers(0, k + 1, (GRADCHECK_SIZE, GRADCHECK_SIZE))
         m[:] = np.where(raw == k, IGNORE, raw)
@@ -688,25 +679,23 @@ def gradcheck(seed: int = 0) -> dict:
                           centroids=rng.normal((k, k)), steps=3)
     bank_t = CentroidBank(num_classes=k, dim=k, gamma=0.7,
                           centroids=rng.normal((k, k)), steps=3)
-    labels = np.array([*data["source"]["image_labels"], *data["target"]["image_labels"]])
-    batch = (feats, masks, labels, feats.reshape(len(feats), -1, dim).mean(axis=1),
-             GRADCHECK_IMAGES)
+    batch = (feats, masks, labels, pooled, GRADCHECK_IMAGES)
 
     def fwd():
         return batch_forward(models, *batch, bank_s, bank_t, weights)
 
     grads = backward_all(models, fwd())
-    fd_cls = _fd_grad(lambda: fwd().losses["L_C"], models.classifier.weights)
+    fd_cls = _fd_grad(lambda: fwd().losses["L_C"], models.classifier)
     fd_seg = _fd_grad(
         lambda: (lambda s: s.losses["L_S"] + weights.eta * s.losses["L_D"]
                  + weights.mu * s.losses["L_SRT"])(fwd()),
-        models.segmenter.weights)
-    fd_disc = _fd_grad(lambda: fwd().losses["L_disc"], models.discriminator.weights)
+        models.segmenter)
+    fd_disc = _fd_grad(lambda: fwd().losses["L_disc"], models.discriminator)
 
     report = {
-        "classifier": _rel_err(grads["classifier"], fd_cls),
-        "segmenter": _rel_err(grads["segmenter"], fd_seg),
-        "discriminator": _rel_err(grads["discriminator"], fd_disc),
+        "classifier": _rel_err(grads.classifier, fd_cls),
+        "segmenter": _rel_err(grads.segmenter, fd_seg),
+        "discriminator": _rel_err(grads.discriminator, fd_disc),
     }
     report["max"] = max(report.values())
     return report

@@ -72,18 +72,18 @@ def segmenter_forward(seg, feats) -> np.ndarray:
     """Per-pixel affine map + softmax -> (H, W, K) probability map."""
     feats = np.asarray(feats, dtype=np.float64)
     h, w, d = feats.shape
-    if d + 1 != seg.weights.shape[0]:
+    if d + 1 != seg.shape[0]:
         raise DimensionMismatchError(
-            f"feature dim {d} incompatible with weights {seg.weights.shape}")
-    logits = _with_bias(feats.reshape(h * w, d)) @ seg.weights
-    return _softmax(logits).reshape(h, w, seg.num_classes)
+            f"feature dim {d} incompatible with weights {seg.shape}")
+    logits = _with_bias(feats.reshape(h * w, d)) @ seg
+    return _softmax(logits).reshape(h, w, seg.shape[1])
 
 
 def classifier_forward(clf, feats):
     """Mean-pool features then logistic.  Returns (pred, pooled)."""
     feats = np.asarray(feats, dtype=np.float64)
     pooled = feats.reshape(-1, feats.shape[-1]).mean(axis=0)
-    z = pooled @ clf.weights[:-1] + clf.weights[-1]
+    z = pooled @ clf[:-1] + clf[-1]
     return float(_sigmoid(z)), pooled
 
 
@@ -97,7 +97,7 @@ def prob_map_stats(probs) -> np.ndarray:
 def discriminator_forward(disc, probs):
     """Logistic over pooled softmax statistics.  Returns (score, stats)."""
     stats = prob_map_stats(probs)
-    z = stats @ disc.weights[:-1] + disc.weights[-1]
+    z = stats @ disc[:-1] + disc[-1]
     return float(_sigmoid(z)), stats
 
 
@@ -134,7 +134,7 @@ def batch_forward(models, batch: BatchData, bank_s: CentroidBank,
     Candidate banks are the old banks advanced by this batch's centroids;
     they are returned for the caller to commit after the gradient step.
     """
-    k = models.segmenter.num_classes
+    k = models.segmenter.shape[1]
     n_s, n_t = len(batch.src_feats), len(batch.tgt_feats)
 
     src_probs, src_pooled, src_cls, src_disc = [], [], [], []
@@ -257,20 +257,20 @@ def backward_all(models, state: ForwardState) -> dict:
     alternating scheme for the adversarial pair.
     """
     batch, weights = state.batch, state.weights
-    k = models.segmenter.num_classes
+    k = models.segmenter.shape[1]
     n_s, n_t = len(batch.src_feats), len(batch.tgt_feats)
     eta = weights.eta if state.use_adv else 0.0
     mu = weights.mu if state.use_srt else 0.0
     grad_cs, grad_ct = state.srt_grads
-    disc_w = models.discriminator.weights[:-1]
+    disc_w = models.discriminator[:-1]
 
-    g_w1 = np.zeros_like(models.classifier.weights)
+    g_w1 = np.zeros_like(models.classifier)
     for pred, pooled, label in zip(state.src_cls, state.src_pooled, batch.src_labels):
         g_w1 += (pred - label) / n_s * np.concatenate([pooled, [1.0]])
     for pred, pooled, label in zip(state.tgt_cls, state.tgt_pooled, batch.tgt_labels):
         g_w1 += (pred - label) / n_t * np.concatenate([pooled, [1.0]])
 
-    g_w2 = np.zeros_like(models.segmenter.weights)
+    g_w2 = np.zeros_like(models.segmenter)
     for feats, probs, mask in zip(batch.src_feats, state.src_probs, batch.src_masks):
         g_w2 += _seg_image_grad(feats, probs, mask, k, n_s, mu, grad_cs, 0.0, disc_w)
     for feats, probs, mask, d in zip(batch.tgt_feats, state.tgt_probs,
@@ -279,7 +279,7 @@ def backward_all(models, state: ForwardState) -> dict:
         g_w2 += _seg_image_grad(feats, probs, mask, k, n_t, mu, grad_ct,
                                 eta_dcoef, disc_w)
 
-    g_wd = np.zeros_like(models.discriminator.weights)
+    g_wd = np.zeros_like(models.discriminator)
     if state.use_adv:
         for probs, d in zip(state.tgt_probs, state.tgt_disc):
             stats = prob_map_stats(probs)
@@ -376,11 +376,12 @@ def train(cfg, data: dict) -> TrainResult:
 
             lr = cfg.learning_rate * cfg.lr_decay_rate ** (step // cfg.lr_decay_step)
             last_lr = lr
-            models.segmenter.weights = models.segmenter.weights - lr * grads["segmenter"]
-            models.classifier.weights = models.classifier.weights - lr * grads["classifier"]
+            models = models._replace(
+                segmenter=models.segmenter - lr * grads["segmenter"],
+                classifier=models.classifier - lr * grads["classifier"])
             if cfg.use_adv:
-                models.discriminator.weights = (
-                    models.discriminator.weights - lr * grads["discriminator"])
+                models = models._replace(
+                    discriminator=models.discriminator - lr * grads["discriminator"])
             bank_s, bank_t = state.new_bank_s, state.new_bank_t
             step += 1
             n_batches += 1

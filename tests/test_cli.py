@@ -160,12 +160,12 @@ class TestPseudolabelCmd:
         assert main(["--config", cfg, "--quiet", "pseudolabel", probs_path,
                      thr_path, img_path, "--out", out]) == 0
 
-        from segtransfer.cli import load_config, slic_params
+        from segtransfer.cli import _build, load_config
         from segtransfer.pseudo_label import generate
-        from segtransfer.superpixel import slic
+        from segtransfer.superpixel import SlicParams, slic
         from segtransfer.thresholds import ClassThresholds
         img = tensorio.read_tensor(img_path)
-        sp = slic(img, slic_params(load_config(cfg)))
+        sp = slic(img, _build(SlicParams, load_config(cfg)))
         expect = generate(probs.astype(np.float64), ClassThresholds(np.array([0.4, 0.4])), sp)
         np.testing.assert_array_equal(tensorio.read_tensor(out), expect)
 
@@ -199,6 +199,12 @@ class TestPseudolabelCmd:
 
 
 class TestTrainCmd:
+    def assert_rejected(self, cfg, data_dir, out):
+        """Exit 2, and no run directory left behind."""
+        assert main(["--config", cfg, "--quiet", "train", data_dir, "--out", out,
+                     "--epochs", "1"]) == 2
+        assert not os.path.exists(out)
+
     def test_outputs_and_zero_epochs(self, tiny_dataset, tmp_path):
         cfg, data_dir, _ = tiny_dataset
         out = str(tmp_path / "run0")
@@ -236,10 +242,7 @@ class TestTrainCmd:
         doc = json.loads(labels_path.read_text())
         doc["files"][0] = name
         labels_path.write_text(json.dumps(doc))
-        out = str(tmp_path / "run")
-        assert main(["--config", cfg, "--quiet", "train", data_dir, "--out", out,
-                     "--epochs", "1"]) == 2
-        assert not os.path.exists(os.path.join(out, "log.jsonl"))
+        self.assert_rejected(cfg, data_dir, str(tmp_path / "run"))
 
     @pytest.mark.parametrize("sub", ["source", "target"])
     @pytest.mark.parametrize("edit", ["short", "long"])
@@ -252,10 +255,22 @@ class TestTrainCmd:
         labels = doc["image_labels"]
         doc["image_labels"] = labels[:-1] if edit == "short" else [*labels, 0]
         labels_path.write_text(json.dumps(doc))
-        out = str(tmp_path / "run")
-        assert main(["--config", cfg, "--quiet", "train", data_dir, "--out", out,
-                     "--epochs", "1"]) == 2
-        assert not os.path.exists(os.path.join(out, "log.jsonl"))
+        self.assert_rejected(cfg, data_dir, str(tmp_path / "run"))
+
+    @pytest.mark.parametrize("label", [2, -1, "1", True, 0.5])
+    def test_image_labels_must_be_0_or_1(self, tiny_dataset, tmp_path, label):
+        """1 - label would go negative in the classifier's cross-entropy."""
+        cfg, data_dir, _ = tiny_dataset
+        labels_path = Path(data_dir, "source", "labels.json")
+        doc = json.loads(labels_path.read_text())
+        doc["image_labels"][0] = label
+        labels_path.write_text(json.dumps(doc))
+        self.assert_rejected(cfg, data_dir, str(tmp_path / "run"))
+
+    def test_empty_source_set(self, tiny_dataset, tmp_path):
+        cfg, data_dir, _ = tiny_dataset
+        Path(data_dir, "source", "labels.json").write_text('{"files": [], "image_labels": []}')
+        self.assert_rejected(cfg, data_dir, str(tmp_path / "run"))
 
     def test_ablation_flags(self, tiny_dataset, tmp_path):
         cfg, data_dir, _ = tiny_dataset
@@ -273,10 +288,7 @@ class TestTrainCmd:
         gt = tensorio.read_tensor(path).copy()
         gt[0, 0] = 5
         tensorio.write_tensor(path, gt, tensorio.DTYPE_U16)
-        out = str(tmp_path / "run")
-        assert main(["--config", cfg, "--quiet", "train", data_dir, "--out", out,
-                     "--epochs", "1"]) == 2
-        assert not os.path.exists(os.path.join(out, "log.jsonl"))
+        self.assert_rejected(cfg, data_dir, str(tmp_path / "run"))
 
     def test_byte_identical_logs(self, tiny_dataset, tmp_path):
         cfg, data_dir, _ = tiny_dataset

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from segtransfer import tensorio
-from segtransfer.cli import CONFIG_DEFAULTS, _build, load_config, main, slic_params
+from segtransfer.cli import CONFIG_DEFAULTS, _build, load_config, main
 from segtransfer.superpixel import SlicParams, slic
 from segtransfer.toy_pipeline import TrainConfig
 
@@ -86,7 +86,7 @@ class TestDefaults:
 
     def test_defaults_build_the_default_dataclasses(self):
         assert _build(TrainConfig, CONFIG_DEFAULTS) == TrainConfig()
-        assert slic_params(CONFIG_DEFAULTS) == SlicParams()
+        assert _build(SlicParams, CONFIG_DEFAULTS) == SlicParams()
 
     def test_renamed_keys(self):
         cfg = load_config(None, {"p_step": 0.1, "slic_iterations": 3})
@@ -113,7 +113,7 @@ class TestOverrides:
         assert main(["--quiet", "slic", img, "--out", b,
                      "--n-segments", "9", "--compactness", "5"]) == 0
         assert Path(a).read_bytes() == Path(b).read_bytes()
-        expect = slic_params({**CONFIG_DEFAULTS, "n_segments": 9, "compactness": 5.0})
+        expect = _build(SlicParams, {**CONFIG_DEFAULTS, "n_segments": 9, "compactness": 5.0})
         np.testing.assert_array_equal(tensorio.read_tensor(a),
                                       slic(tensorio.read_tensor(img), expect))
 

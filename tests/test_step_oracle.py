@@ -11,10 +11,11 @@ import pytest
 
 import step_oracle as oracle
 from segtransfer.core import IGNORE
-from segtransfer.errors import DimensionMismatchError
+from segtransfer.errors import DimensionMismatchError, EmptyInputError, OutOfRangeError
 from segtransfer.losses import LossWeights
 from segtransfer.toy_pipeline import (
     SynthConfig,
+    ToyModels,
     TrainConfig,
     backward_all,
     batch_forward,
@@ -41,11 +42,8 @@ def assert_close(got, want, rtol=RTOL):
 
 
 def random_models(dim, k, seed):
-    models = init_models(dim, k, seed)
     rng = np.random.default_rng(seed)
-    for m in (models.segmenter, models.classifier, models.discriminator):
-        m.weights = m.weights + rng.normal(0.0, 0.5, m.weights.shape)
-    return models
+    return ToyModels(*(w + rng.normal(0.0, 0.5, w.shape) for w in init_models(dim, k, seed)))
 
 
 def random_banks(k, seed):
@@ -110,7 +108,7 @@ def assert_step_matches(models, batch, banks, weights, use_adv, use_srt):
     for a, b in ((got.new_bank_s, want.new_bank_s), (got.new_bank_t, want.new_bank_t)):
         assert a.steps == b.steps and a.gamma == b.gamma
         assert_close(a.centroids, b.centroids)
-    g_got, g_want = backward_all(models, got), oracle.backward_all(models, want)
+    g_got, g_want = backward_all(models, got)._asdict(), oracle.backward_all(models, want)
     assert g_got.keys() == g_want.keys()
     for key in g_want:
         assert_close(g_got[key], g_want[key])
@@ -144,7 +142,7 @@ def test_constant_probability_ties_pick_first_pixel(uniform_weights):
     batch = stacked(batch.feats, batch.masks, batch.labels, batch.n_s)
     models = random_models(batch.feats.shape[3], 2, seed=3)
     if uniform_weights:
-        models.segmenter.weights[:] = 0.0  # every pixel of every image ties
+        models.segmenter[:] = 0.0  # every pixel of every image ties
     weights = LossWeights(eta=1.0, mu=0.0)
     assert_step_matches(models, batch, random_banks(2, 3), weights, True, False)
 
@@ -181,10 +179,8 @@ def test_train_matches_oracle_loop(overrides):
     assert len(got.pseudo_masks) == len(want.pseudo_masks)
     for a, b in zip(got.pseudo_masks, want.pseudo_masks):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    for a, b in ((got.models.segmenter, want.models.segmenter),
-                 (got.models.classifier, want.models.classifier),
-                 (got.models.discriminator, want.models.discriminator)):
-        assert_close(a.weights, b.weights, rtol=1e-9)
+    for a, b in zip(got.models, want.models):
+        assert_close(a, b, rtol=1e-9)
 
 
 @pytest.mark.parametrize("field", ["feats", "masks", "labels", "pooled"])
@@ -225,4 +221,20 @@ def test_train_rejects_per_image_lists_of_wrong_length(domain, key, edit):
              "resized": lambda v: [v[0][:, :6], *v[1:]]}
     data[domain][key] = edits[edit](data[domain][key])
     with pytest.raises(DimensionMismatchError):
+        train(TrainConfig(epochs=1, use_pl=False), data)
+
+
+@pytest.mark.parametrize("label", [2, -1, "1", True, 0.5, 1.0])
+def test_train_rejects_image_labels_other_than_0_or_1(label):
+    data = gen_synthetic(SynthConfig(image_size=8, source_count=3, target_count=2, seed=4))
+    data["target"]["image_labels"][1] = label
+    with pytest.raises(OutOfRangeError):
+        train(TrainConfig(epochs=1, use_pl=False), data)
+
+
+def test_train_rejects_an_empty_source_set():
+    data = gen_synthetic(SynthConfig(image_size=8, source_count=1, target_count=2, seed=4))
+    for key in ("images", "masks", "image_labels"):
+        data["source"][key] = []
+    with pytest.raises(EmptyInputError):
         train(TrainConfig(epochs=1, use_pl=False), data)

@@ -6,7 +6,7 @@ import pytest
 
 from segtransfer.core import IGNORE
 from segtransfer.losses import LossWeights
-from segtransfer.toy_pipeline import init_models
+from segtransfer.toy_pipeline import ToyModels, init_models
 from segtransfer.transfer import CentroidBank
 from test_step_oracle import assert_step_matches, stacked
 
@@ -34,9 +34,7 @@ def test_stacked_step_matches_oracle(h, w, d, k, n_s, n_t, ignore_frac, use_adv,
     src = rng.random((n_s, h, w, d)), masks(n_s), rng.integers(0, 2, n_s)
     tgt = rng.random((n_t, h, w, d)), masks(n_t), rng.integers(0, 2, n_t)
     batch = stacked(*map(np.concatenate, zip(src, tgt)), n_s)
-    models = init_models(d, k, 0)
-    for m in (models.segmenter, models.classifier, models.discriminator):
-        m.weights = rng.normal(0.0, 1.0, m.weights.shape)
+    models = ToyModels(*(rng.normal(0.0, 1.0, w.shape) for w in init_models(d, k, 0)))
     banks = [CentroidBank(num_classes=k, dim=k, gamma=0.7,
                           centroids=rng.normal(size=(k, k)), steps=1) for _ in range(2)]
     weights = LossWeights(eta=float(rng.uniform(0, 2)), mu=float(rng.uniform(0, 5)),

@@ -5,7 +5,6 @@ from segtransfer.core import IGNORE, validate_prob_map
 from segtransfer.losses import LossWeights
 from segtransfer.toy_pipeline import (
     SynthConfig,
-    ToyModels,
     TrainConfig,
     backward_all,
     batch_forward,
@@ -47,7 +46,7 @@ class TestSegmenterForward:
         img = np.random.default_rng(0).integers(0, 255, (5, 5), dtype=np.uint8)
         f = pixel_features(img)
         models = init_models(f.shape[2], 3, 0)
-        models.segmenter.weights[:] = 0.0
+        models.segmenter[:] = 0.0
         probs = segmenter_forward(models.segmenter, f)
         np.testing.assert_allclose(probs, 1.0 / 3.0)
 
@@ -56,8 +55,7 @@ class TestSegmenterForward:
         f = rng.random((4, 4, 4))
         models = init_models(4, 2, 1)
         probs = segmenter_forward(models.segmenter, f)
-        shifted = ToyModels(models.segmenter, models.classifier, models.discriminator)
-        shifted.segmenter.weights = models.segmenter.weights + 3.7  # same shift every logit
+        shifted = models._replace(segmenter=models.segmenter + 3.7)  # same shift every logit
         np.testing.assert_allclose(
             segmenter_forward(shifted.segmenter, f), probs, atol=1e-12)
 
@@ -65,7 +63,7 @@ class TestSegmenterForward:
         rng = np.random.default_rng(2)
         f = rng.random((3, 4, 4))
         models = init_models(4, 3, 2)
-        w = models.segmenter.weights
+        w = models.segmenter
         flat = f.reshape(-1, 4)
         logits = flat @ w[:-1] + w[-1]
         expect = np.exp(logits) / np.exp(logits).sum(-1, keepdims=True)
@@ -119,10 +117,10 @@ class TestBackwardAll:
         images) cancel exactly."""
         batch = make_batch(seed=1)._replace(labels=np.array([0, 1, 1, 0]))
         models = init_models(batch.feats.shape[3], 2, 0)
-        models.classifier.weights[:] = 0.0
+        models.classifier[:] = 0.0
         banks = CentroidBank(num_classes=2, dim=2, gamma=0.7)
         state = batch_forward(models, *batch, banks, banks, LossWeights())
-        g = backward_all(models, state)["classifier"]
+        g = backward_all(models, state).classifier
         assert g[-1] == pytest.approx(0.0, abs=1e-12)   # bias
         assert g[1] == pytest.approx(0.0, abs=1e-12)    # row coordinate
         assert g[2] == pytest.approx(0.0, abs=1e-12)    # column coordinate
@@ -137,9 +135,9 @@ class TestBackwardAll:
         banks = CentroidBank(num_classes=2, dim=2, gamma=0.7)
         w = LossWeights(eta=0.0, mu=0.0)
         state = batch_forward(models, *batch, banks, banks, w)
-        g_full = backward_all(models, state)["segmenter"]
+        g_full = backward_all(models, state).segmenter
 
-        g_manual = np.zeros_like(models.segmenter.weights)
+        g_manual = np.zeros_like(models.segmenter)
         for feats, mask in zip(batch.feats[:n_s], batch.masks[:n_s]):
             probs = segmenter_forward(models.segmenter, feats)
             hw = mask.size
@@ -168,8 +166,7 @@ class TestTrain:
         res = train(cfg, data)
         assert res.log == []
         init = init_models(pixel_features(data["source"]["images"][0]).shape[2], 2, 0)
-        np.testing.assert_array_equal(res.models.segmenter.weights,
-                                      init.segmenter.weights)
+        np.testing.assert_array_equal(res.models.segmenter, init.segmenter)
 
     def test_deterministic_logs(self):
         data = self.small_data(seed=4)
@@ -187,8 +184,10 @@ class TestTrain:
         assert log[0]["p"] == 0.25 and log[1]["p"] == pytest.approx(0.30)
 
     def test_disabled_terms_are_inert(self):
-        """use_pl/use_srt/use_adv off means the respective losses vanish
-        and the segmenter follows the source-only path."""
+        """use_pl/use_srt/use_adv off means the respective losses vanish,
+        the segmenter follows the source-only path and the discriminator
+        keeps its initial weights bit for bit: its gradient is exactly
+        zero, so one update statement serves every model."""
         data = self.small_data(seed=6)
         cfg = TrainConfig(epochs=2, learning_rate=0.3, seed=6,
                           use_pl=False, use_srt=False, use_adv=False)
@@ -197,6 +196,8 @@ class TestTrain:
             assert rec["L_D"] == 0.0
             assert rec["L_SRT"] == 0.0
             assert rec["pl_fraction"] == 0.0
+        init = init_models(4, 2, 6)
+        assert res.models.discriminator.tobytes() == init.discriminator.tobytes()
 
     def test_zero_shift_losses_close(self):
         """With no domain shift the source and target supervised losses
@@ -225,10 +226,8 @@ class TestTrain:
         cfg = TrainConfig(epochs=2, learning_rate=0.0, seed=8, use_pl=False)
         res = train(cfg, data)
         init = init_models(4, 2, 8)
-        np.testing.assert_array_equal(res.models.segmenter.weights,
-                                      init.segmenter.weights)
-        np.testing.assert_array_equal(res.models.classifier.weights,
-                                      init.classifier.weights)
+        np.testing.assert_array_equal(res.models.segmenter, init.segmenter)
+        np.testing.assert_array_equal(res.models.classifier, init.classifier)
         # with frozen weights and frozen pseudo labels the loss repeats
         assert res.log[0]["L_S"] == res.log[1]["L_S"]
         assert res.log[0]["L_C"] == res.log[1]["L_C"]
