@@ -38,6 +38,7 @@ from .toy_pipeline import (
     gen_synthetic,
     gradcheck,
     pixel_features,
+    stack_features,
     segmenter_forward,
     train,
 )

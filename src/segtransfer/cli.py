@@ -228,8 +228,16 @@ def _load_dataset(data_dir):
     docs = {}
     for domain in DATASET_LAYOUT:
         with open(os.path.join(data_dir, domain, "labels.json")) as fh:
-            docs[domain] = json.load(fh)
-        for name in docs[domain]["files"]:
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as e:
+                raise ValidationError(f"{domain}/labels.json is not valid JSON: {e}")
+        if not (isinstance(doc, dict)
+                and all(isinstance(doc.get(key), list) for key in ("files", "image_labels"))):
+            raise ValidationError(
+                f"{domain}/labels.json must be an object whose files and image_labels are lists")
+        docs[domain] = doc
+        for name in doc["files"]:
             # names are joined into paths: keep them inside the dataset
             if (not isinstance(name, str) or name in ("", ".", "..")
                     or any(sep in name for sep in ("/", "\\", os.sep))):

@@ -14,8 +14,13 @@ arrays, each with its bias last, held by one `ToyModels` named tuple;
 A training step takes one layout: arrays stacked along axis 0, the
 source images first, then the target ones -- pixel features
 (B, H, W, D), masks (B, H, W), image-level labels (B,) and mean-pooled
-features (B, D).  `train` keeps each of these as one array over all
-images and gathers every batch from them by one index array.
+features (B, D).  `train` keeps the images as one (N, H, W, C) uint8
+stack, and the masks, labels and pooled features as one array each over
+all images; it gathers every batch from them by one index array and
+builds the batch's pixel features from its images, since they are a
+pure function of them.  No array holds every image's features: the
+per-epoch target pass forwards the target images in blocks of at most
+_BLOCK_PIXELS pixels, each writing its slice of one class-major map.
 
 Gradients flow into the alignment loss only through the newest batch
 centroid (weight gamma^0 = 1); the accumulated history is a constant
@@ -122,34 +127,77 @@ def init_models(feature_dim: int, num_classes: int, seed: int) -> ToyModels:
 # features and forward passes
 
 
-def pixel_features(img) -> np.ndarray:
-    """Handcrafted per-pixel features, dim D = 2*channels + 2.
+# Upper bound on the pixels featurised at once outside a training step: the
+# target pass forwards whole images in blocks of this many pixels, and the
+# pooled classifier inputs are built block by block.
+_BLOCK_PIXELS = 1 << 14
 
-    Layout: per-channel intensity / 255, normalized row, normalized
-    column, then per-channel 3x3 local mean (zero padded, fixed divisor
-    9).
+
+def _block_images(h: int, w: int) -> int:
+    """Whole (H, W) images per block of at most _BLOCK_PIXELS pixels, at least 1."""
+    return max(1, _BLOCK_PIXELS // (h * w))
+
+
+class _FeatureBuilder:
+    """Pixel features of up to `capacity` images of one (H, W, C) shape,
+    built into buffers that every call reuses: a call's result is
+    overwritten by the next call.
+
+    Feature layout, dim D = 2*C + 2: per-channel intensity / 255,
+    normalized row, normalized column, then per-channel 3x3 local mean
+    (zero padded, fixed divisor 9).  The images lie on one flat zero
+    canvas, each row followed by a zero column and each image by a zero
+    row, so each of the nine 3x3 terms is one shifted slice of it; the
+    coordinate channels are written once.
     """
+
+    def __init__(self, capacity: int, h: int, w: int, c: int):
+        self.shape = (h, w, c)
+        row = w + 1
+        size = capacity * (h + 1) * row  # canvas entries of `capacity` images
+        # a zero row above the first image, and slack for the corner shifts
+        self.canvas = np.zeros((size + 2 * row + 2, c))
+        self.grid = self.canvas[row + 1:row + 1 + size].reshape(capacity, h + 1, row, c)
+        self.local = np.empty((size, c))
+        # where each (dy, dx) term starts on the canvas
+        self.shifts = [dy * row + dx for dy in (0, 1, 2) for dx in (0, 1, 2)]
+        self.out = np.empty((capacity, h, w, 2 * c + 2))
+        self.out[..., c] = (np.arange(h, dtype=np.float64) / max(h - 1, 1))[:, None]
+        self.out[..., c + 1] = np.arange(w, dtype=np.float64) / max(w - 1, 1)
+
+    def __call__(self, images) -> np.ndarray:
+        """(B, H, W, C) images, B <= capacity -> (B, H, W, D) float64."""
+        b = len(images)
+        h, w, c = self.shape
+        norm = self.grid[:b, :h, :w]
+        np.divide(images, 255.0, out=norm, dtype=np.float64)
+        n = b * (h + 1) * (w + 1)
+        s = self.shifts
+        local = self.local[:n]
+        # the nine terms are added in (dy, dx) order, starting from the first
+        np.add(self.canvas[s[0]:s[0] + n], self.canvas[s[1]:s[1] + n], out=local)
+        for o in s[2:]:
+            local += self.canvas[o:o + n]
+        local /= 9.0
+        out = self.out[:b]
+        out[..., :c] = norm
+        out[..., c + 2:] = local.reshape(b, h + 1, w + 1, c)[:, :h, :w]
+        return out
+
+
+def stack_features(images) -> np.ndarray:
+    """Pixel features of a (B, H, W, C) image stack -> (B, H, W, 2C+2)
+    float64; see _FeatureBuilder for the layout."""
+    images = np.asarray(images)
+    return _FeatureBuilder(*images.shape)(images)
+
+
+def pixel_features(img) -> np.ndarray:
+    """Pixel features of one (H, W) or (H, W, C) image -> (H, W, 2C+2)."""
     img = np.asarray(img)
     if img.ndim == 2:
         img = img[..., None]
-    h, w, c = img.shape
-    norm = img.astype(np.float64) / 255.0
-    ys = (np.arange(h, dtype=np.float64) / max(h - 1, 1))[:, None]
-    xs = (np.arange(w, dtype=np.float64) / max(w - 1, 1))[None, :]
-    padded = np.zeros((h + 2, w + 2, c))
-    padded[1:-1, 1:-1] = norm
-    local = np.zeros((h, w, c))
-    for dy in (0, 1, 2):
-        for dx in (0, 1, 2):
-            local += padded[dy:dy + h, dx:dx + w]
-    local /= 9.0
-    feats = np.concatenate([
-        norm,
-        np.broadcast_to(ys, (h, w))[..., None],
-        np.broadcast_to(xs, (h, w))[..., None],
-        local,
-    ], axis=2)
-    return feats
+    return stack_features(img[None])[0]
 
 
 def _sigmoid(z):
@@ -468,24 +516,22 @@ def _all_ignore(shape):
 
 def _stack_inputs(data):
     """Check a gen_synthetic-style dataset and stack its step inputs along
-    axis 0, the source images first: pixel features (N, H, W, D), masks
-    (N, H, W) whose target rows are all IGNORE, image-level labels (N,)
-    and mean-pooled features (N, D)."""
+    axis 0, the source images first: images (N, H, W, C) in their own
+    dtype (uint8 in practice), masks (N, H, W) whose target rows are all
+    IGNORE, image-level labels (N,) and mean-pooled pixel features (N, D),
+    built a block of images at a time."""
     src, tgt = data["source"], data["target"]
     n_src, n_tgt = len(src["images"]), len(tgt["images"])
     if n_src == 0 or n_tgt == 0:
         raise EmptyInputError("training needs at least one source and one target image")
-    images = [*src["images"], *tgt["images"]]
-    first = pixel_features(images[0])
-    feats = np.empty((len(images),) + first.shape)  # written in place, image by image
-    feats[0] = first
-    for i in range(1, len(images)):
-        f = pixel_features(images[i])
-        if f.shape != first.shape:
+    images = [np.asarray(im) for im in (*src["images"], *tgt["images"])]
+    images = [im[..., None] if im.ndim == 2 else im for im in images]
+    for i, im in enumerate(images):
+        if im.shape != images[0].shape:
             raise DimensionMismatchError(
-                f"image {i} has shape {f.shape[:2]}, image 0 {first.shape[:2]}")
-        feats[i] = f
-    n_img, h, w, feature_dim = feats.shape
+                f"image {i} has shape {im.shape}, image 0 {images[0].shape}")
+    images = np.stack(images)
+    n_img, h, w, c = images.shape
     for name, given, n in (("source", src["masks"], n_src),
                            ("target eval", tgt["eval_masks"], n_tgt)):
         if len(given) != n or any(np.shape(m) != (h, w) for m in given):
@@ -499,19 +545,34 @@ def _stack_inputs(data):
             raise OutOfRangeError(f"image-level label {y!r} is not the integer 0 or 1")
     masks = _all_ignore((n_img, h, w))
     masks[:n_src] = src["masks"]
-    pooled = feats.reshape(n_img, -1, feature_dim).mean(axis=1)
-    return feats, masks, np.array(labels, dtype=np.float64), pooled
+    block = _block_images(h, w)
+    features = _FeatureBuilder(min(block, n_img), h, w, c)
+    pooled = np.empty((n_img, 2 * c + 2))
+    for i in range(0, n_img, block):
+        feats = features(images[i:i + block])
+        pooled[i:i + block] = feats.reshape(len(feats), h * w, -1).mean(axis=1)
+    return images, masks, np.array(labels, dtype=np.float64), pooled
 
 
-def _target_probs(models, tall_feats, pooled, refine):
-    """Probability map of the target images, stacked into one tall
-    (N*H, W, K) map, under the current weights."""
-    probs = segmenter_forward(models.segmenter, tall_feats)
+def _target_probs(models, images, pooled, refine, features) -> np.ndarray:
+    """Probability map of the target images under the current weights,
+    stacked into one tall (N*H, W, K) map: a transposed view of a
+    class-major (K, N*H*W) array.  The images are forwarded in blocks of
+    whole images, featurised by `features`."""
+    n, h, w = images.shape[:3]
+    k = models.segmenter.shape[1]
+    probs = np.empty((k, n * h * w))
     if refine:
         preds = _logistic(pooled, models.classifier)
-        rows = tall_feats.shape[0] // pooled.shape[0]
-        probs = refine_probs_by_classification(probs, np.repeat(preds, rows)[:, None, None])
-    return probs
+    block = _block_images(h, w)
+    for i in range(0, n, block):
+        feats = features(images[i:i + block])
+        b = len(feats)
+        p = segmenter_forward(models.segmenter, feats.reshape(b * h, w, -1))
+        if refine:
+            p = refine_probs_by_classification(p, np.repeat(preds[i:i + b], h)[:, None, None])
+        probs[:, i * h * w:(i + b) * h * w] = p.reshape(-1, k).T
+    return probs.T.reshape(n * h, w, k)
 
 
 def _tall_superpixels(images, params) -> np.ndarray:
@@ -531,33 +592,39 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
 
     Each domain needs at least one image, all images must share one
     size, each domain's per-image lists must hold one entry per image,
-    and every image-level label must be the integer 0 or 1.  Features,
-    their mean-pooled classifier inputs, masks and image-level labels
-    are each one array over all images, source first, built once; the
-    target rows of the masks hold the current pseudo labels.  A step
-    gathers its batch from these arrays by one index array.  The target
-    images are handled as one tall (N*H, W) map: each epoch makes one
-    forward, one threshold pass, one pseudo-label pass and one evaluation
-    over all of them.
+    and every image-level label must be the integer 0 or 1.  The images
+    (uint8 in practice), their mean-pooled classifier inputs, masks and
+    image-level labels are each one array over all images, source first,
+    built once; the target rows of the masks hold the current pseudo
+    labels.  No array holds the pixel features of all images: a step
+    gathers its batch from these arrays by one index array and builds
+    the batch's features from its images.  The target images are handled
+    as one tall (N*H, W) map: each epoch makes one threshold pass, one
+    pseudo-label pass and one evaluation over all of them, after a
+    forward that fills the map a block of whole images at a time.
     """
     k = int(data["num_classes"])
     tgt = data["target"]
-    feats, masks, labels, pooled = _stack_inputs(data)
-    n_img, h, w, feature_dim = feats.shape
+    images, masks, labels, pooled = _stack_inputs(data)
+    n_img, h, w, c = images.shape
     n_tgt = len(tgt["images"])
     n_src = n_img - n_tgt
-    tgt_tall, tgt_pooled = feats[n_src:].reshape(n_tgt * h, w, feature_dim), pooled[n_src:]
+    tgt_images, tgt_pooled = images[n_src:], pooled[n_src:]
+    # one buffer serves every batch and every block of the target pass
+    features = _FeatureBuilder(max(2 * min(cfg.batch_size, n_src),
+                                   min(_block_images(h, w), n_tgt)), h, w, c)
     eval_tall = np.concatenate(tgt["eval_masks"])
     pseudo_tall = masks[n_src:].reshape(n_tgt * h, w)  # a view: writes land in masks
 
-    models = init_models(feature_dim, k, cfg.seed)
+    models = init_models(pooled.shape[1], k, cfg.seed)
     rng = SplitMix64(cfg.seed).spawn(100)
 
     sp_tall = probs_t = None
     if cfg.use_pl:
         # images never change, so the spatial priors are computed once
         sp_tall = _tall_superpixels(tgt["images"], cfg.slic)
-        probs_t = _target_probs(models, tgt_tall, tgt_pooled, cfg.refine_by_classification)
+        probs_t = _target_probs(models, tgt_images, tgt_pooled,
+                                cfg.refine_by_classification, features)
         if cfg.gate_by_image_label:
             negative_rows = np.repeat(labels[n_src:] == 0, h)[:, None]
 
@@ -591,8 +658,9 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
             # the target side walks order_t in step with the source side, wrapping
             sel_t = order_t[np.arange(b0, b0 + len(sel_s)) % n_tgt]
             idx = np.concatenate([sel_s, n_src + sel_t])
-            state = batch_forward(models, feats[idx], masks[idx], labels[idx], pooled[idx],
-                                  len(sel_s), bank_s, bank_t, cfg.weights,
+            # the features live in a reused buffer: state is spent before the next build
+            state = batch_forward(models, features(images[idx]), masks[idx], labels[idx],
+                                  pooled[idx], len(sel_s), bank_s, bank_t, cfg.weights,
                                   use_adv=cfg.use_adv, use_srt=cfg.use_srt)
             grads = backward_all(models, state)
 
@@ -607,7 +675,8 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
                 sums[key] += state.losses[key]
 
         del probs_t  # free the last maps before the forward allocates new ones
-        probs_t = _target_probs(models, tgt_tall, tgt_pooled, cfg.refine_by_classification)
+        probs_t = _target_probs(models, tgt_images, tgt_pooled,
+                                cfg.refine_by_classification, features)
         cm = accumulate(ConfusionMatrix(k), argmax_map(probs_t), eval_tall)
         m = summary(cm)
 
@@ -664,7 +733,8 @@ def gradcheck(seed: int = 0) -> dict:
     k = 2
     rng = SplitMix64(seed).spawn(999)
 
-    feats, masks, labels, pooled = _stack_inputs(data)
+    images, masks, labels, pooled = _stack_inputs(data)
+    feats = stack_features(images)
     models = init_models(feats.shape[3], k, seed + 1)
     for w in models:
         w += 0.2 * rng.normal(w.shape)

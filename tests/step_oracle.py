@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from feature_oracle import pixel_features
 from segtransfer.core import IGNORE, argmax_map
 from segtransfer.errors import DimensionMismatchError
 from segtransfer.losses import (
@@ -32,7 +33,6 @@ from segtransfer.toy_pipeline import (
     _all_ignore,
     _sigmoid,
     init_models,
-    pixel_features,
     refine_probs_by_classification,
 )
 from segtransfer.transfer import BatchCentroids, CentroidBank, batch_centroids, srt_loss, update_bank

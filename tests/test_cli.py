@@ -267,6 +267,23 @@ class TestTrainCmd:
         labels_path.write_text(json.dumps(doc))
         self.assert_rejected(cfg, data_dir, str(tmp_path / "run"))
 
+    @pytest.mark.parametrize("sub", ["source", "target"])
+    @pytest.mark.parametrize("text", [
+        '{"files": ["im_0000"]}',
+        '{"image_labels": [0]}',
+        '["im_0000", 0]',
+        '{"files": "im_0000", "image_labels": [0]}',
+        '{"files": ["im_0000"], "image_labels": 0}',
+        '{"files": null, "image_labels": null}',
+        '{"files": [',
+    ])
+    def test_malformed_labels_json(self, tiny_dataset, tmp_path, sub, text):
+        """labels.json must be an object whose files and image_labels are
+        lists: anything else is exit 2, not a traceback or an I/O error."""
+        cfg, data_dir, _ = tiny_dataset
+        Path(data_dir, sub, "labels.json").write_text(text)
+        self.assert_rejected(cfg, data_dir, str(tmp_path / "run"))
+
     def test_empty_source_set(self, tiny_dataset, tmp_path):
         cfg, data_dir, _ = tiny_dataset
         Path(data_dir, "source", "labels.json").write_text('{"files": [], "image_labels": []}')

@@ -1,5 +1,7 @@
 """Golden-output guard: SHA-256 digests of every file that CLI gen-synth
-and CLI train write, and of gradcheck's stdout, on one small config.
+and CLI train write on one small config, of CLI train's files on a 64x64
+config whose target pass spans more than one block, and of gradcheck's
+stdout.
 
 A refactor must keep these outputs byte-identical, so this test fails on
 any float it moves.  A change that moves floats on purpose (reordered
@@ -17,15 +19,24 @@ import os
 import pytest
 
 from segtransfer.cli import main
+from segtransfer.toy_pipeline import _block_images
 
 CONFIG = {"image_size": 16, "source_count": 12, "target_count": 8, "epochs": 3,
           "learning_rate": 0.5, "eta": 0.01, "mu": 0.01}
-# run name -> (config keys over CONFIG, extra train flags)
+# 64x64 images: the target pass forwards these 5 target images in more than
+# one block, and with fewer target images than a batch holds source images
+# the target side of every batch wraps around
+BLOCKED = {"image_size": 64, "source_count": 6, "target_count": 5, "batch_size": 8,
+           "epochs": 2, "learning_rate": 0.5, "eta": 0.01, "mu": 0.01}
+DATASETS = {"data": CONFIG, "blocked": BLOCKED}
+REFINE_GATE = {"refine_by_classification": True, "gate_by_image_label": True}
+# run name -> (dataset, config keys over its config, extra train flags)
 TRAIN_RUNS = {
-    "train full": ({}, []),
-    "train bl": ({}, ["--no-pl", "--no-srt", "--no-adv"]),
-    "train refine+gate": ({"refine_by_classification": True,
-                           "gate_by_image_label": True}, []),
+    "train full": ("data", {}, []),
+    "train bl": ("data", {}, ["--no-pl", "--no-srt", "--no-adv"]),
+    "train refine+gate": ("data", REFINE_GATE, []),
+    "blocked train full": ("blocked", {}, []),
+    "blocked train refine+gate": ("blocked", REFINE_GATE, []),
 }
 
 
@@ -42,19 +53,20 @@ def _tree_digests(root):
 
 def current_digests(work):
     """run name -> {relative path: digest}, gradcheck -> digest of stdout."""
-    def config(name, extra):
+    def config(name, doc):
         path = os.path.join(work, name + ".json")
         with open(path, "w") as fh:
-            json.dump({**CONFIG, **extra}, fh)
+            json.dump(doc, fh)
         return path
 
-    data = os.path.join(work, "data")
-    assert main(["--config", config("base", {}), "--quiet", "gen-synth", data]) == 0
-    found = {"gen-synth": _tree_digests(data)}
-    for i, (run, (extra, flags)) in enumerate(TRAIN_RUNS.items()):
+    for name, base in DATASETS.items():
+        data = os.path.join(work, name)
+        assert main(["--config", config(name, base), "--quiet", "gen-synth", data]) == 0
+    found = {"gen-synth": _tree_digests(os.path.join(work, "data"))}
+    for i, (run, (name, extra, flags)) in enumerate(TRAIN_RUNS.items()):
         out = os.path.join(work, f"run{i}")
-        assert main(["--config", config(f"cfg{i}", extra), "--quiet", "train", data,
-                     "--out", out, *flags]) == 0
+        assert main(["--config", config(f"cfg{i}", {**DATASETS[name], **extra}), "--quiet",
+                     "train", os.path.join(work, name), "--out", out, *flags]) == 0
         found[run] = _tree_digests(out)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -71,6 +83,12 @@ def digests(tmp_path_factory):
 @pytest.mark.parametrize("run", ["gen-synth", *TRAIN_RUNS, "gradcheck"])
 def test_outputs_are_byte_identical(digests, run):
     assert digests[run] == DIGESTS[run]
+
+
+def test_blocked_config_spans_blocks_and_wraps():
+    side, n_tgt = BLOCKED["image_size"], BLOCKED["target_count"]
+    assert n_tgt > _block_images(side, side)
+    assert n_tgt < min(BLOCKED["batch_size"], BLOCKED["source_count"])
 
 
 DIGESTS = {
@@ -179,6 +197,40 @@ DIGESTS = {
         "pseudo_labels/im_0005.tnsr": "bd278be7651ed8f27f4fba99ba7f3d1e4fae4c801ab736356b19d50f154652a9",
         "pseudo_labels/im_0006.tnsr": "bc1850f122c9dc020c802db02acdf435f9c08ab1612b4e408462b2a489b448a8",
         "pseudo_labels/im_0007.tnsr": "f974fef2e4560f4fbd997ddcec12ea8e7e44e656576810ab564f71f35c887d16"
+    },
+    "blocked train full": {
+        "config.json": "38825f10ec41cd9fe8bc3110a73a1387259a50b670d44dd56cfce4d7968ac66b",
+        "log.csv": "a985c8411f428a1f9d9b625d8a404d820d37bd16d25860ef39560792449d804f",
+        "log.jsonl": "58eb12a5f73d2f586722896e6507d1cb7176a135fe6301df0efe3d35b3613e13",
+        "models/centroids_source.json": "8599d86ea433d7e2360d9e178e061e74c0ccdbcfa6cc48b20c57f946c31f9e88",
+        "models/centroids_source.tnsr": "9b8b6a4a875705a6c5067737597839fba941f440a3632c0d7b364b73fc13d40e",
+        "models/centroids_target.json": "8599d86ea433d7e2360d9e178e061e74c0ccdbcfa6cc48b20c57f946c31f9e88",
+        "models/centroids_target.tnsr": "7bfc5a5c6cefd4c30aba531e2f89df03c0862818517e540c24eca61395023e41",
+        "models/classifier.tnsr": "323ab9b43f705011cef3afe14adda2f1023b0f52a531e3079d454a057a94bea7",
+        "models/discriminator.tnsr": "d31b6acf265f887b9772dc6af6482eaa397ea57e901f41e044c1d2d6dab60554",
+        "models/segmenter.tnsr": "82cdbe16fb22f35f896da6543754a9878a8f65ddad4cf3706d2025ea6d4a985d",
+        "pseudo_labels/im_0000.tnsr": "8c67325bad4828875868249296a4ce60eceadbe9f793b00f45f3d10b86f4610d",
+        "pseudo_labels/im_0001.tnsr": "8ede157f52e943857a13142feefaa6a540b617c73c3997b95e246b0ddc7a1799",
+        "pseudo_labels/im_0002.tnsr": "46282a561b62755616a4320819f487b9014e0df90a8bea9027115e922de4e04e",
+        "pseudo_labels/im_0003.tnsr": "94e7e29304840ef3f6968f9c6859d25c1b4e7d7af7d3403a7eee0e74dd068ec8",
+        "pseudo_labels/im_0004.tnsr": "3631720e9e3ef1c8ae4dd5c49a196666fc27b64bac76f060df68fa1f929da918"
+    },
+    "blocked train refine+gate": {
+        "config.json": "111e34415b8d870195e02d856d387fe0d705a0b1022d53d80a8c37569686f8fe",
+        "log.csv": "a3237454d2f0585d67957da985391dd6defac57a3c9beaf5a74b7802c6372c49",
+        "log.jsonl": "bb5bf49f825959bf52444befd1ff3ccd6b26512de53c25a8ed73f8a3ac8e71c4",
+        "models/centroids_source.json": "8599d86ea433d7e2360d9e178e061e74c0ccdbcfa6cc48b20c57f946c31f9e88",
+        "models/centroids_source.tnsr": "f458cb89838ad50ee12c64138774d8c187d2d8ab93b3451adca78785d036bb6c",
+        "models/centroids_target.json": "8599d86ea433d7e2360d9e178e061e74c0ccdbcfa6cc48b20c57f946c31f9e88",
+        "models/centroids_target.tnsr": "868df357de1b7775beb9074724413394f97d64f9de1747d16a56d346fa3a11fa",
+        "models/classifier.tnsr": "323ab9b43f705011cef3afe14adda2f1023b0f52a531e3079d454a057a94bea7",
+        "models/discriminator.tnsr": "85c04277eacf84bf257f95a91664888348691683ba122def017c3757fdce1330",
+        "models/segmenter.tnsr": "79a51d75f3bf0dbbda4a7944fb1e9bf933dfc981f0a539d3be0284634ec16ede",
+        "pseudo_labels/im_0000.tnsr": "779bc5f7452da278df408d9af9044006c1b90dace4bbc9b5f2c7eb0c380934af",
+        "pseudo_labels/im_0001.tnsr": "af457e4c173e6a6756182e3d7cf484804973736ef680481baaf285077a5dddad",
+        "pseudo_labels/im_0002.tnsr": "05e27a6c2c9bdaa2c262c5d2c8aa07e28e1388aaca21aa3bc39e3a280df3cfb2",
+        "pseudo_labels/im_0003.tnsr": "0050875e7b03dee36a9c35ab84f5627a5fe8cdb279fa3b30009c319b8594915f",
+        "pseudo_labels/im_0004.tnsr": "7ea09f081ec3395069e6b3961c872c00831de79710e938034865e8c615d69d65"
     },
     "gradcheck": "6bf9cbf847891b5a921c8aa9a58dd99c130ceeb28f994d8cc9724ebbebed0711"
 }

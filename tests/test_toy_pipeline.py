@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from segtransfer import toy_pipeline
 from segtransfer.core import IGNORE, validate_prob_map
 from segtransfer.losses import LossWeights
+from segtransfer.superpixel import SlicParams
 from segtransfer.toy_pipeline import (
     SynthConfig,
     TrainConfig,
@@ -239,3 +243,52 @@ class TestTrain:
         for im in data["target"]["images"]:
             probs = segmenter_forward(res.models.segmenter, pixel_features(im))
             validate_prob_map(probs)
+
+
+class TestPerBatchFeatures:
+    """train keeps no array of all images' pixel features: each batch and
+    each block of the target pass is featurised from the images."""
+
+    def test_each_target_image_forwarded_once_per_pass(self, monkeypatch):
+        """With blocks of two 8x8 images, every target pass forwards the 5
+        target images in 3 blocks, each image exactly once and in order,
+        and the outputs match those of a single block bit for bit."""
+        data = gen_synthetic(SynthConfig(image_size=8, source_count=4, target_count=5, seed=1))
+        cfg = TrainConfig(epochs=3, learning_rate=0.5, seed=1, refine_by_classification=True,
+                          slic=SlicParams(n_segments=4))
+        whole = train(cfg, data)
+        want = np.concatenate([pixel_features(im) for im in data["target"]["images"]])
+
+        forwarded = []
+
+        def recording(seg, feats):
+            forwarded.append(np.array(feats))
+            return segmenter_forward(seg, feats)
+
+        monkeypatch.setattr(toy_pipeline, "_BLOCK_PIXELS", 2 * 8 * 8)
+        monkeypatch.setattr(toy_pipeline, "segmenter_forward", recording)
+        blocked = train(cfg, data)
+        # the initial pass, then one per epoch; a step never calls the forward
+        assert [len(f) for f in forwarded] == [16, 16, 8] * (cfg.epochs + 1)
+        for i in range(0, len(forwarded), 3):
+            assert np.concatenate(forwarded[i:i + 3]).tobytes() == want.tobytes()
+        assert blocked.log == whole.log
+        assert blocked.pseudo_masks.tobytes() == whole.pseudo_masks.tobytes()
+        for a, b in zip(blocked.models, whole.models):
+            assert a.tobytes() == b.tobytes()
+
+    def test_peak_allocation_below_the_feature_array(self):
+        """Training on 400 source images of 16x16 allocates, at its peak,
+        less than the (N, H, W, D) float64 array of all their features."""
+        n_src, n_tgt, side = 400, 8, 16
+        data = gen_synthetic(SynthConfig(image_size=side, source_count=n_src,
+                                         target_count=n_tgt, seed=3))
+        feature_bytes = (n_src + n_tgt) * side * side * 4 * 8
+        cfg = TrainConfig(epochs=1, learning_rate=0.5, seed=3)
+        tracemalloc.start()
+        try:
+            train(cfg, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < feature_bytes
