@@ -1,22 +1,29 @@
 """Wall time and peak memory of CLI `train` as the image side grows.
 
-    python3 experiments/scaling.py [--src DIR] [--sides 32 64 ...] [--out FILE]
+    python3 experiments/scaling.py [--src DIR ...] [--repeat N]
+                                   [--sides 32 64 ...] [--out FILE]
 
-For each side it runs CLI `gen-synth` once, then CLI `train` twice on
-that data: Full (pseudo labels, SRT and ADV on) and BL (`--no-pl
---no-srt --no-adv`).  Every child runs alone, with one BLAS thread, from
-the `src/` tree given by --src (default: the one next to this
-directory).  For each child it prints the wall time and the child's own
-peak RSS (`ru_maxrss` from `wait4`), then one JSON document of all rows,
-which --out also writes to a file.  The data is the acceptance-c8
-configuration (200 source / 100 target images, lr 0.5, eta 0.01, mu
-0.01) at each side, with fewer epochs at the larger sides.  Uses only
-the standard library.
+For each side it runs CLI `gen-synth` once, then CLI `train` on that
+data: Full (pseudo labels, SRT and ADV on) and BL (`--no-pl --no-srt
+--no-adv`), from every `src/` tree given by --src (default: the one next
+to this directory), N times each.  The trees take turns, side by side:
+each round runs every tree once, and the round's first tree rotates, so
+that two trees (say a parent commit and a change) are compared within
+one harness run.  Every child runs alone, with one BLAS thread.  For
+each child it prints the wall time and the child's own peak RSS
+(`ru_maxrss` from `wait4`); then the median of each side, call and tree;
+then one JSON document of all rows and medians, which --out also writes
+to a file.  The data is the acceptance-c8 configuration (200 source /
+100 target images, lr 0.5, eta 0.01, mu 0.01) at each side, with fewer
+epochs at the larger sides; `gen-synth` runs from the first tree.  Uses
+only the standard library.
 """
 
 import argparse
 import json
 import os
+import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -48,33 +55,63 @@ def run_child(args, src, log):
     return wall, usage.ru_maxrss / 1024.0
 
 
+def medians(rows):
+    """The median wall time and peak RSS of each (side, call, tree)."""
+    groups = {}
+    for row in rows:
+        groups.setdefault((row["side"], row["call"], row["src"]), []).append(row)
+    return [{"side": side, "call": call, "src": src, "n": len(group),
+             "wall_s": round(statistics.median(r["wall_s"] for r in group), 3),
+             "peak_rss_mib": round(statistics.median(r["peak_rss_mib"] for r in group), 1)}
+            for (side, call, src), group in groups.items()]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", default=DEFAULT_SRC, help="src/ tree to run")
+    parser.add_argument("--src", nargs="+", default=[DEFAULT_SRC],
+                        help="src/ trees to run, side by side")
+    parser.add_argument("--repeat", type=int, default=1, help="runs of each call per tree")
     parser.add_argument("--sides", type=int, nargs="+", default=sorted(EPOCHS),
                         choices=sorted(EPOCHS))
     parser.add_argument("--out", default=None, help="also write the JSON rows here")
     args = parser.parse_args(argv)
-    src = os.path.abspath(args.src)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+    srcs = [os.path.abspath(src) for src in args.src]
 
     rows = []
     with tempfile.TemporaryDirectory() as work:
+        log = os.path.join(work, "call.log")
+
+        def record(side, name, src, cli_args, repeat):
+            wall, rss = run_child(cli_args, src, log)
+            rows.append({"side": side, "epochs": EPOCHS[side], "call": name, "src": src,
+                         "repeat": repeat, "wall_s": round(wall, 3),
+                         "peak_rss_mib": round(rss, 1)})
+            print(f"{side:4d}^2  {name:9s}  wall {wall:8.2f} s  peak RSS {rss:8.1f} MiB"
+                  f"  {src}", flush=True)
+
         for side in args.sides:
             cfg = os.path.join(work, f"cfg{side}.json")
             with open(cfg, "w") as fh:
                 json.dump({**CONFIG, "image_size": side, "epochs": EPOCHS[side]}, fh)
             data = os.path.join(work, f"data{side}")
-            calls = [("gen-synth", ["--config", cfg, "gen-synth", data])]
-            calls += [(name, ["--config", cfg, "train", data,
-                              "--out", os.path.join(work, f"{name}{side}"), *flags])
-                      for name, flags in VARIANTS.items()]
-            for name, cli_args in calls:
-                wall, rss = run_child(cli_args, src, os.path.join(work, "call.log"))
-                rows.append({"side": side, "epochs": EPOCHS[side], "call": name,
-                             "wall_s": round(wall, 3), "peak_rss_mib": round(rss, 1)})
-                print(f"{side:4d}^2  {name:9s}  wall {wall:8.2f} s  "
-                      f"peak RSS {rss:8.1f} MiB", flush=True)
-    doc = {"src": src, "config": CONFIG, "epochs": EPOCHS, "rows": rows}
+            record(side, "gen-synth", srcs[0], ["--config", cfg, "gen-synth", data], 0)
+            for repeat in range(args.repeat):
+                turn = repeat % len(srcs)
+                for src in srcs[turn:] + srcs[:turn]:
+                    for name, flags in VARIANTS.items():
+                        out = os.path.join(work, "run")
+                        record(side, name, src, ["--config", cfg, "train", data,
+                                                 "--out", out, *flags], repeat)
+                        shutil.rmtree(out)
+    summary = medians(rows)
+    print("medians:")
+    for m in summary:
+        print(f"{m['side']:4d}^2  {m['call']:9s}  wall {m['wall_s']:8.2f} s  "
+              f"peak RSS {m['peak_rss_mib']:8.1f} MiB  n={m['n']}  {m['src']}")
+    doc = {"src": srcs, "repeat": args.repeat, "config": CONFIG, "epochs": EPOCHS,
+           "rows": rows, "medians": summary}
     text = json.dumps(doc, indent=1)
     if args.out:
         with open(args.out, "w") as fh:

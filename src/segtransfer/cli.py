@@ -223,6 +223,15 @@ def cmd_pseudolabel(args) -> int:
     return EXIT_OK
 
 
+def _read_mask(path):
+    """A label mask from a TNSR file: only integer codes (u8 or u16) are
+    labels; a float mask would be truncated, and its NaN would crash."""
+    mask = tensorio.read_tensor(path)
+    if mask.dtype.kind != "u":
+        raise ValidationError(f"{path}: a label mask must be u8 or u16, not {mask.dtype}")
+    return mask
+
+
 def _load_dataset(data_dir):
     """The dataset in gen_synthetic's form, and the target file names."""
     docs = {}
@@ -246,9 +255,9 @@ def _load_dataset(data_dir):
     for domain, (image_dir, mask_dir, mask_key) in DATASET_LAYOUT.items():
         data[domain] = {"images": [], mask_key: [], "image_labels": docs[domain]["image_labels"]}
         for name in docs[domain]["files"]:
-            for key, sub in (("images", image_dir), (mask_key, mask_dir)):
-                data[domain][key].append(
-                    tensorio.read_tensor(os.path.join(data_dir, sub, name + ".tnsr")))
+            for key, sub, read in (("images", image_dir, tensorio.read_tensor),
+                                   (mask_key, mask_dir, _read_mask)):
+                data[domain][key].append(read(os.path.join(data_dir, sub, name + ".tnsr")))
     # K is taken from the source masks, and is at least 2
     data["num_classes"] = 1 + max([1, *(int(m[m != IGNORE].max(initial=0))
                                         for m in data["source"]["masks"])])
@@ -312,8 +321,8 @@ def cmd_eval(args) -> int:
     preds, gts = [], []
     num_classes = 2
     for f in pred_files:
-        pred = tensorio.read_tensor(os.path.join(args.pred_dir, f))
-        gt = tensorio.read_tensor(os.path.join(args.gt_dir, f))
+        pred = _read_mask(os.path.join(args.pred_dir, f))
+        gt = _read_mask(os.path.join(args.gt_dir, f))
         preds.append(pred)
         gts.append(gt)
         hi = max(int(pred[pred != IGNORE].max(initial=0)),

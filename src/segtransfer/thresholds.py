@@ -19,6 +19,9 @@ from .core import _first_max, as_prob_map
 # outputs cannot produce non-finite lambdas
 MIN_PROB = 1e-12
 
+# pixels read at once from a probability map
+_BLOCK_PIXELS = 1 << 14
+
 
 @dataclass(frozen=True)
 class ClassThresholds:
@@ -76,14 +79,62 @@ def portion_at(schedule: CurriculumSchedule, epoch: int) -> float:
     return min(schedule.p0 + schedule.step * epoch, schedule.p_max)
 
 
+class ClassValues:
+    """The max probability of every pixel predicted as each class, for up
+    to `size` pixels gathered a block at a time, and the per-class
+    quantile read from them.
+
+    One buffer of `size` floats holds each class's values as one run, the
+    runs in class order.  The order within a run, and so the order of the
+    blocks, does not matter: a class's value is an order statistic of its
+    run.
+    """
+
+    def __init__(self, num_classes: int, size: int):
+        self.buffer = np.empty(size)
+        self.bounds = [0] * (num_classes + 1)  # run k is buffer[bounds[k]:bounds[k + 1]]
+
+    def add(self, labels, confid) -> None:
+        """Gather one block: the predicted class of each pixel and its
+        maximum probability, as _first_max returns them."""
+        sels = [confid[labels == k] for k in range(len(self.bounds) - 1)]
+        buf, bounds = self.buffer, self.bounds
+        # from the last run down, each run moves right by the values added to
+        # the runs before it: its first values move to its end, and its new
+        # values fill the gap after it, so no more than a block ever moves
+        shift = sum(sel.size for sel in sels)
+        for k in reversed(range(len(sels))):
+            shift -= sels[k].size
+            start, end = bounds[k], bounds[k + 1]
+            n = min(shift, end - start)
+            buf[end + shift - n:end + shift] = buf[start:start + n]
+            bounds[k + 1] = end + shift + sels[k].size
+            buf[end + shift:bounds[k + 1]] = sels[k]
+
+    def lambdas(self, p: float) -> ClassThresholds:
+        """For each class, the value a full ascending sort of its values
+        would put at floor((1 - p) * n), clamped to [0, n - 1], as
+        lambda = -log(value); the runs are partitioned in place.  A class
+        never predicted gets lambda 0 (threshold 1.0, which admits nothing
+        under the strict inequality used downstream)."""
+        lambdas = np.zeros(len(self.bounds) - 1, dtype=np.float64)
+        for k in range(lambdas.size):
+            run = self.buffer[self.bounds[k]:self.bounds[k + 1]]
+            if run.size:
+                t_idx = min(max(int(np.floor((1.0 - p) * run.size)), 0), run.size - 1)
+                run.partition(t_idx)
+                lambdas[k] = -np.log(max(run[t_idx], MIN_PROB))
+        return ClassThresholds(lambdas)
+
+
 def determine_lambdas(maps, p: float) -> ClassThresholds:
     """Compute per-class lambdas from predicted probability maps.
 
     For each class, gather the max probability of every pixel predicted as
-    that class across all maps, sort ascending, and read the value at index
-    floor((1 - p) * n), clamped to [0, n - 1].  A class never predicted
-    gets lambda 0 (threshold 1.0, which admits nothing under the strict
-    inequality used downstream).
+    that class across all maps and read its quantile; see
+    ClassValues.lambdas.  Each map is read in blocks of rows, so beyond
+    the gathered values, one float per pixel, only a block's temporaries
+    are allocated.
     """
     maps = [as_prob_map(m) for m in maps]
     if not maps:
@@ -95,21 +146,9 @@ def determine_lambdas(maps, p: float) -> ClassThresholds:
         if m.shape[2] != num_classes:
             raise ClassMismatchError(f"maps disagree on K: {m.shape[2]} vs {num_classes}")
 
-    gathered = [[] for _ in range(num_classes)]
+    values = ClassValues(num_classes, sum(m.shape[0] * m.shape[1] for m in maps))
     for m in maps:
-        labels, confid = _first_max(np.moveaxis(m, -1, 0))
-        for k in range(num_classes):
-            sel = confid[labels == k]
-            if sel.size:
-                gathered[k].append(sel)
-
-    lambdas = np.zeros(num_classes, dtype=np.float64)
-    for k in range(num_classes):
-        if not gathered[k]:
-            continue
-        sel = np.concatenate(gathered[k])
-        t_idx = int(np.floor((1.0 - p) * sel.size))
-        t_idx = min(max(t_idx, 0), sel.size - 1)
-        # the value a full sort would put at t_idx
-        lambdas[k] = -np.log(max(np.partition(sel, t_idx)[t_idx], MIN_PROB))
-    return ClassThresholds(lambdas)
+        rows = max(1, _BLOCK_PIXELS // max(m.shape[1], 1))
+        for r in range(0, m.shape[0], rows):
+            values.add(*_first_max(np.moveaxis(m[r:r + rows], -1, 0)))
+    return values.lambdas(p)

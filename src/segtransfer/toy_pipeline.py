@@ -18,9 +18,12 @@ features (B, D).  `train` keeps the images as one (N, H, W, C) uint8
 stack, and the masks, labels and pooled features as one array each over
 all images; it gathers every batch from them by one index array and
 builds the batch's pixel features from its images, since they are a
-pure function of them.  No array holds every image's features: the
-per-epoch target pass forwards the target images in blocks of at most
-_BLOCK_PIXELS pixels, each writing its slice of one class-major map.
+pure function of them.  No array holds every image's features, nor
+every target image's probability map: each pass over the target images
+forwards them in blocks of whole images, at most _BLOCK_PIXELS pixels
+each, and hands each block to the evaluation, the threshold values and
+the pseudo labels before the next is built.  With pseudo labels an
+epoch makes two such passes, one without.
 
 Gradients flow into the alignment loss only through the newest batch
 centroid (weight gamma^0 = 1); the accumulated history is a constant
@@ -32,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import IGNORE, argmax_map
+from .core import IGNORE, _first_max
 from .errors import (DimensionMismatchError, EmptyInputError, InvalidConfigError,
                      OutOfRangeError)
 from .losses import (
@@ -46,7 +49,7 @@ from .metrics import ConfusionMatrix, accumulate, summary
 from .pseudo_label import generate
 from .rng import SplitMix64
 from .superpixel import SlicParams, slic
-from .thresholds import CurriculumSchedule, determine_lambdas, portion_at
+from .thresholds import ClassValues, CurriculumSchedule, portion_at
 from .transfer import BatchCentroids, CentroidBank, srt_loss, update_bank
 
 LESION_RATE = 0.75
@@ -554,14 +557,12 @@ def _stack_inputs(data):
     return images, masks, np.array(labels, dtype=np.float64), pooled
 
 
-def _target_probs(models, images, pooled, refine, features) -> np.ndarray:
-    """Probability map of the target images under the current weights,
-    stacked into one tall (N*H, W, K) map: a transposed view of a
-    class-major (K, N*H*W) array.  The images are forwarded in blocks of
-    whole images, featurised by `features`."""
+def _target_blocks(models, images, pooled, refine, features):
+    """Forward the target images under the current weights in blocks of
+    whole images, featurised by `features`.  Yields, for each block, the
+    slice of the images it holds and their probability maps stacked into
+    one tall (B*H, W, K) map, a transposed view of a class-major array."""
     n, h, w = images.shape[:3]
-    k = models.segmenter.shape[1]
-    probs = np.empty((k, n * h * w))
     if refine:
         preds = _logistic(pooled, models.classifier)
     block = _block_images(h, w)
@@ -571,8 +572,7 @@ def _target_probs(models, images, pooled, refine, features) -> np.ndarray:
         p = segmenter_forward(models.segmenter, feats.reshape(b * h, w, -1))
         if refine:
             p = refine_probs_by_classification(p, np.repeat(preds[i:i + b], h)[:, None, None])
-        probs[:, i * h * w:(i + b) * h * w] = p.reshape(-1, k).T
-    return probs.T.reshape(n * h, w, k)
+        yield slice(i, i + b), p
 
 
 def _tall_superpixels(images, params) -> np.ndarray:
@@ -587,6 +587,22 @@ def _tall_superpixels(images, params) -> np.ndarray:
     return np.concatenate(maps)
 
 
+def _scan_targets(models, target_pass, p=None, cm=None, eval_masks=None):
+    """Forward the target images and read every block's per-pixel argmax
+    and maximum: with a portion p, gather them per class and return the
+    thresholds they give at p (else None); with a confusion matrix cm,
+    add the argmax against the block's eval masks to it."""
+    n, h, w = target_pass[0].shape[:3]
+    values = None if p is None else ClassValues(models.segmenter.shape[1], n * h * w)
+    for s, probs in _target_blocks(models, *target_pass):
+        pred, confid = _first_max(np.moveaxis(probs, -1, 0))
+        if cm is not None:
+            accumulate(cm, pred, np.concatenate(eval_masks[s]))
+        if values is not None:
+            values.add(pred, confid)
+    return None if values is None else values.lambdas(p)
+
+
 def train(cfg: TrainConfig, data: dict) -> TrainResult:
     """Run the full curriculum on a gen_synthetic-style dataset.
 
@@ -598,10 +614,17 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
     built once; the target rows of the masks hold the current pseudo
     labels.  No array holds the pixel features of all images: a step
     gathers its batch from these arrays by one index array and builds
-    the batch's features from its images.  The target images are handled
-    as one tall (N*H, W) map: each epoch makes one threshold pass, one
-    pseudo-label pass and one evaluation over all of them, after a
-    forward that fills the map a block of whole images at a time.
+    the batch's features from its images.  Nor does any array hold every
+    target image's probability map: each pass over the target images
+    forwards them in blocks of whole images and hands each block to its
+    consumers before building the next.  The evaluation pass ending an
+    epoch feeds the confusion matrix and, but for the last epoch, the
+    values of the next epoch's thresholds; with pseudo labels, each epoch
+    opens with a pass that labels every block under those thresholds, the
+    same weights giving the same bits, and an initial pass gathers the
+    first epoch's values.  Blocks hold whole images and no superpixel
+    spans two, so every output equals that of one pass over all target
+    images at once.
     """
     k = int(data["num_classes"])
     tgt = data["target"]
@@ -609,24 +632,19 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
     n_img, h, w, c = images.shape
     n_tgt = len(tgt["images"])
     n_src = n_img - n_tgt
-    tgt_images, tgt_pooled = images[n_src:], pooled[n_src:]
+    pseudo = masks[n_src:]  # a view: writes land in masks
     # one buffer serves every batch and every block of the target pass
     features = _FeatureBuilder(max(2 * min(cfg.batch_size, n_src),
                                    min(_block_images(h, w), n_tgt)), h, w, c)
-    eval_tall = np.concatenate(tgt["eval_masks"])
-    pseudo_tall = masks[n_src:].reshape(n_tgt * h, w)  # a view: writes land in masks
+    target_pass = (images[n_src:], pooled[n_src:], cfg.refine_by_classification, features)
 
     models = init_models(pooled.shape[1], k, cfg.seed)
     rng = SplitMix64(cfg.seed).spawn(100)
 
-    sp_tall = probs_t = None
     if cfg.use_pl:
         # images never change, so the spatial priors are computed once
-        sp_tall = _tall_superpixels(tgt["images"], cfg.slic)
-        probs_t = _target_probs(models, tgt_images, tgt_pooled,
-                                cfg.refine_by_classification, features)
-        if cfg.gate_by_image_label:
-            negative_rows = np.repeat(labels[n_src:] == 0, h)[:, None]
+        sp = _tall_superpixels(tgt["images"], cfg.slic).reshape(n_tgt, h, w)
+        negative = (labels[n_src:] == 0)[:, None, None]
 
     bank_s = CentroidBank(num_classes=k, dim=k, gamma=cfg.gamma)
     bank_t = CentroidBank(num_classes=k, dim=k, gamma=cfg.gamma)
@@ -637,15 +655,18 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
     for epoch in range(cfg.epochs):
         p = portion_at(cfg.schedule, epoch)
 
+        n_labelled = 0
         if cfg.use_pl:
-            # probs_t holds the maps of the current weights: the previous
-            # epoch's evaluation, or the initial forward
-            thr = determine_lambdas([probs_t], p)
-            pseudo_tall[:] = generate(probs_t, thr, sp_tall)
-            if cfg.gate_by_image_label:
-                # images labelled healthy keep no lesion pixel (IGNORE >= 1 too)
-                pseudo_tall[negative_rows & (pseudo_tall >= 1)] = IGNORE
-        pl_fraction = int((pseudo_tall != IGNORE).sum()) / float(pseudo_tall.size)
+            if epoch == 0:
+                thr = _scan_targets(models, target_pass, p)
+            for s, probs in _target_blocks(models, *target_pass):
+                block = generate(probs, thr, sp[s].reshape(-1, w)).reshape(-1, h, w)
+                if cfg.gate_by_image_label:
+                    # images labelled healthy keep no lesion pixel (IGNORE >= 1 too)
+                    block[negative[s] & (block >= 1)] = IGNORE
+                pseudo[s] = block
+                n_labelled += np.count_nonzero(block != IGNORE)
+        pl_fraction = n_labelled / float(pseudo.size)
 
         order_s = rng.shuffled(n_src)
         order_t = rng.shuffled(n_tgt)
@@ -674,10 +695,12 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
             for key in sums:
                 sums[key] += state.losses[key]
 
-        del probs_t  # free the last maps before the forward allocates new ones
-        probs_t = _target_probs(models, tgt_images, tgt_pooled,
-                                cfg.refine_by_classification, features)
-        cm = accumulate(ConfusionMatrix(k), argmax_map(probs_t), eval_tall)
+        # the evaluation pass also reads the next epoch's thresholds: no
+        # step comes between it and the next pseudo-label pass
+        p_next = (portion_at(cfg.schedule, epoch + 1)
+                  if cfg.use_pl and epoch + 1 < cfg.epochs else None)
+        cm = ConfusionMatrix(k)
+        thr = _scan_targets(models, target_pass, p_next, cm, tgt["eval_masks"])
         m = summary(cm)
 
         record = {

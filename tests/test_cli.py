@@ -198,6 +198,13 @@ class TestPseudolabelCmd:
         assert not os.path.exists(out)
 
 
+def write_float_mask(path, bad):
+    """Overwrite a mask with a float32 one whose values are not class codes."""
+    mask = tensorio.read_tensor(path).astype(np.float32)
+    mask[0, :2] = (1.7, 0.2) if bad == "fraction" else np.nan
+    tensorio.write_tensor(path, mask, tensorio.DTYPE_F32)
+
+
 class TestTrainCmd:
     def assert_rejected(self, cfg, data_dir, out):
         """Exit 2, and no run directory left behind."""
@@ -307,6 +314,16 @@ class TestTrainCmd:
         tensorio.write_tensor(path, gt, tensorio.DTYPE_U16)
         self.assert_rejected(cfg, data_dir, str(tmp_path / "run"))
 
+    @pytest.mark.parametrize("sub", ["source/masks", "target_eval/masks"])
+    @pytest.mark.parametrize("bad", ["fraction", "nan"])
+    def test_float_masks_rejected(self, tiny_dataset, tmp_path, sub, bad):
+        """Only integer-coded masks are labels: a float32 mask holding 1.7
+        and 0.2 would train as classes 1 and 0, and a NaN would crash the
+        class count (exit 1)."""
+        cfg, data_dir, _ = tiny_dataset
+        write_float_mask(os.path.join(data_dir, sub, "im_0001.tnsr"), bad)
+        self.assert_rejected(cfg, data_dir, str(tmp_path / "run"))
+
     def test_byte_identical_logs(self, tiny_dataset, tmp_path):
         cfg, data_dir, _ = tiny_dataset
         out_a, out_b = str(tmp_path / "ra"), str(tmp_path / "rb")
@@ -330,6 +347,34 @@ class TestEvalCmd:
         pd.mkdir()
         gd.mkdir()
         tensorio.write_tensor(pd / "a.tnsr", pred, tensorio.DTYPE_U16)
+        tensorio.write_tensor(gd / "a.tnsr", gt, tensorio.DTYPE_U16)
+        assert main(["--quiet", "eval", str(pd), str(gd)]) == 0
+        doc = json.loads(capsys.readouterr().out.strip())
+        assert doc["miou"] == pytest.approx(0.583333, abs=1e-4)
+
+    @pytest.mark.parametrize("side", ["pred", "gt"])
+    @pytest.mark.parametrize("bad", ["fraction", "nan"])
+    def test_float_masks_rejected(self, tiny_dataset, tmp_path, capsys, side, bad):
+        """A float32 mask is exit 2 on either side: 1.7 and 0.2 are not
+        classes 1 and 0, and a NaN is not a traceback."""
+        _, data_dir, _ = tiny_dataset
+        gt = os.path.join(data_dir, "target_eval", "masks")
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        for name in os.listdir(gt):
+            tensorio.write_tensor(pred / name, tensorio.read_tensor(os.path.join(gt, name)),
+                                  tensorio.DTYPE_U16)
+        bad_dir = str(pred) if side == "pred" else gt
+        write_float_mask(os.path.join(bad_dir, "im_0001.tnsr"), bad)
+        assert main(["--quiet", "eval", str(pred), gt]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_u8_masks_accepted(self, tmp_path, capsys):
+        pred, gt = shifted_square_fixture()
+        pd, gd = tmp_path / "pred", tmp_path / "gt"
+        pd.mkdir()
+        gd.mkdir()
+        tensorio.write_tensor(pd / "a.tnsr", pred.astype(np.uint8), tensorio.DTYPE_U8)
         tensorio.write_tensor(gd / "a.tnsr", gt, tensorio.DTYPE_U16)
         assert main(["--quiet", "eval", str(pd), str(gd)]) == 0
         doc = json.loads(capsys.readouterr().out.strip())

@@ -2,8 +2,11 @@
 versions in `pl_oracle` exactly: same masks, same lambdas, same argmax
 and maximum maps, ties and NaN included.  A tall map of stacked images
 with offset superpixel IDs must label every image as it is labelled
-alone."""
+alone, and `train`, streaming its target passes block by block, must
+write what the oracle's loop over one tall target map writes."""
 
+import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -219,29 +222,101 @@ def test_tall_superpixels_offsets_each_image():
 
 
 @pytest.mark.parametrize("use_pl", [True, False])
-def test_train_makes_one_target_pass_per_epoch(monkeypatch, use_pl):
-    """One forward, threshold, pseudo-label and evaluation call per epoch
-    over all target images, plus the initial forward with pseudo labels."""
+def test_train_target_passes_per_epoch(monkeypatch, use_pl):
+    """Each pass over the target images forwards all of them once, in
+    order (here in one block).  Without pseudo labels an epoch makes one
+    pass, the evaluation.  With them it makes two, the pseudo-label pass
+    and the evaluation, and an initial pass gathers the first epoch's
+    threshold values: one threshold reading, pseudo-label block and
+    evaluation block per epoch."""
     calls = {}
 
-    def counted(name):
-        fn = getattr(toy_pipeline, name)
+    def count(owner, name):
+        fn = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
             return fn(*args, **kwargs)
-        return wrapper
+        monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("segmenter_forward", "determine_lambdas", "generate", "accumulate"):
-        monkeypatch.setattr(toy_pipeline, name, counted(name))
+    for name in ("segmenter_forward", "generate", "accumulate"):
+        count(toy_pipeline, name)
+    count(toy_pipeline.ClassValues, "lambdas")
     data = gen_synthetic(SynthConfig(image_size=8, source_count=4, target_count=5, seed=1))
     result = train(TrainConfig(epochs=3, use_pl=use_pl, slic=SlicParams(n_segments=4)), data)
-    want = {"segmenter_forward": 4, "determine_lambdas": 3, "generate": 3, "accumulate": 3}
+    want = {"segmenter_forward": 7, "lambdas": 3, "generate": 3, "accumulate": 3}
     if not use_pl:
         want = {"segmenter_forward": 3, "accumulate": 3}
     assert calls == want
     assert len(result.pseudo_masks) == 5
     assert all(m.shape == (8, 8) and m.dtype == np.uint16 for m in result.pseudo_masks)
+
+
+def suppress_class(num, monkeypatch):
+    """Make init_models, in train and in the oracle, give class `num` a
+    bias so low that no pixel is ever predicted as it."""
+    original = toy_pipeline.init_models
+
+    def init(*args):
+        models = original(*args)
+        models.segmenter[-1, num] -= 50.0
+        return models
+    monkeypatch.setattr(toy_pipeline, "init_models", init)
+    monkeypatch.setattr(oracle, "init_models", init)
+
+
+STREAM_CASES = {
+    # name: (synth, train config, target image labels or None)
+    "blocks": (dict(source_count=6, target_count=5), {}, None),
+    "k3": (dict(num_classes=3, source_count=6, target_count=5), {}, None),
+    "refine_gate": (dict(source_count=6, target_count=5),
+                    dict(refine_by_classification=True, gate_by_image_label=True),
+                    [0, 1, 0, 1, 1]),
+    # at 12x12 the gate removes lesion labels; each block has its own healthy rows
+    "gate": (dict(image_size=12, source_count=8, target_count=5),
+             dict(gate_by_image_label=True, slic=SlicParams(n_segments=9)), [0, 0, 1, 1, 0]),
+    "never_predicted": (dict(source_count=6, target_count=5), {}, None),
+    "small_target": (dict(source_count=9, target_count=2), {}, None),
+    "no_pl": (dict(source_count=6, target_count=5), dict(use_pl=False), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STREAM_CASES))
+def test_streamed_target_pass_matches_tall_map_oracle(monkeypatch, case):
+    """train, forwarding the target images in blocks of two (the last one
+    partial), writes the logs, pseudo masks and weights of the oracle's
+    loop over one tall map of all target images, byte for byte."""
+    synth, overrides, target_labels = STREAM_CASES[case]
+    synth = {"image_size": 8, **synth}
+    data = gen_synthetic(SynthConfig(seed=2, **synth))
+    if target_labels is not None:
+        data["target"]["image_labels"] = target_labels
+    lambdas = []
+    if case == "never_predicted":
+        data["num_classes"] = 3
+        suppress_class(2, monkeypatch)
+        read = toy_pipeline.ClassValues.lambdas
+
+        def recorded(self, p):
+            lambdas.append(read(self, p).lambdas)
+            return ClassThresholds(lambdas[-1])
+        monkeypatch.setattr(toy_pipeline.ClassValues, "lambdas", recorded)
+    cfg = TrainConfig(**{"epochs": 3, "batch_size": 4, "learning_rate": 0.5, "seed": 2,
+                         "slic": SlicParams(n_segments=4), **overrides})
+    want = oracle.train(cfg, data)
+    if case == "gate":
+        ungated = oracle.train(dataclasses.replace(cfg, gate_by_image_label=False), data)
+        assert ungated.log != want.log
+    monkeypatch.setattr(toy_pipeline, "_BLOCK_PIXELS", 2 * synth["image_size"] ** 2)
+    got = train(cfg, data)
+    assert json.dumps(got.log, sort_keys=True) == json.dumps(want.log, sort_keys=True)
+    assert got.pseudo_masks.tobytes() == want.pseudo_masks.tobytes()
+    for a, b in zip(got.models, want.models):
+        assert a.tobytes() == b.tobytes()
+    if case == "never_predicted":
+        assert len(lambdas) == 3 and all(lam[2] == 0.0 for lam in lambdas)
+    if overrides.get("use_pl", True):
+        assert np.any(got.pseudo_masks != IGNORE)
 
 
 def test_gate_by_image_label_matches_oracle():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from segtransfer.errors import ClassMismatchError, EmptyInputError, InvalidConfi
 from segtransfer.pseudo_label import assign_initial
 from segtransfer.thresholds import (
     ClassThresholds,
+    ClassValues,
     CurriculumSchedule,
     determine_lambdas,
     portion_at,
@@ -118,6 +121,46 @@ class TestDetermineLambdas:
             count = sum(int((assign_initial(m, thr) != IGNORE).sum()) for m in maps)
             assert count >= prev
             prev = count
+
+
+    @pytest.mark.parametrize("tall", [True, False])
+    def test_allocates_less_than_the_maps(self, tall):
+        """Reading 16 maps of 64x64, or one tall map of them all, with one
+        class predicted at most pixels: the values gathered (one float per
+        pixel) and a block's temporaries stay below the maps' own bytes."""
+        rng = np.random.default_rng(6)
+        raw = rng.random((16, 64, 64, 2))
+        raw[..., 0] += 0.5
+        raw /= raw.sum(axis=-1, keepdims=True)
+        maps = [np.concatenate(raw)] if tall else list(raw)
+        want = determine_lambdas([m.copy() for m in maps], 0.4)
+        tracemalloc.start()
+        try:
+            got = determine_lambdas(maps, 0.4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < raw.nbytes
+        np.testing.assert_array_equal(got.lambdas, want.lambdas)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_class_values_blocks_in_any_order(self, k):
+        """ClassValues reads the lambdas of determine_lambdas whatever the
+        order and the split of the blocks it gathers, an empty block
+        included; each class's run holds exactly that class's values."""
+        rng = np.random.default_rng(7 + k)
+        m = random_prob_map(rng, 30, 7, k)
+        want = determine_lambdas([m], 0.3).lambdas
+        labels, confid = argmax_map(m), max_map(m)
+        for rows in ([0, 30], [0, 1, 2, 30], [0, 11, 11, 12, 29, 30]):
+            for order in (1, -1):
+                values = ClassValues(k, m.shape[0] * m.shape[1])
+                for r0, r1 in list(zip(rows, rows[1:]))[::order]:
+                    values.add(labels[r0:r1], confid[r0:r1])
+                for c in range(k):
+                    run = values.buffer[values.bounds[c]:values.bounds[c + 1]]
+                    np.testing.assert_array_equal(np.sort(run), np.sort(confid[labels == c]))
+                np.testing.assert_array_equal(values.lambdas(0.3).lambdas, want)
 
 
 class TestClassThresholds:

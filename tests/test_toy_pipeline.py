@@ -252,30 +252,34 @@ class TestPerBatchFeatures:
     def test_each_target_image_forwarded_once_per_pass(self, monkeypatch):
         """With blocks of two 8x8 images, every target pass forwards the 5
         target images in 3 blocks, each image exactly once and in order,
-        and the outputs match those of a single block bit for bit."""
+        and the outputs match those of a single block bit for bit.  With
+        pseudo labels there is an initial pass and two per epoch, without
+        them one per epoch."""
         data = gen_synthetic(SynthConfig(image_size=8, source_count=4, target_count=5, seed=1))
-        cfg = TrainConfig(epochs=3, learning_rate=0.5, seed=1, refine_by_classification=True,
-                          slic=SlicParams(n_segments=4))
-        whole = train(cfg, data)
         want = np.concatenate([pixel_features(im) for im in data["target"]["images"]])
+        for use_pl, passes in ((True, 7), (False, 3)):
+            cfg = TrainConfig(epochs=3, learning_rate=0.5, seed=1, use_pl=use_pl,
+                              refine_by_classification=True, slic=SlicParams(n_segments=4))
+            whole = train(cfg, data)
 
-        forwarded = []
+            forwarded = []
 
-        def recording(seg, feats):
-            forwarded.append(np.array(feats))
-            return segmenter_forward(seg, feats)
+            def recording(seg, feats):
+                forwarded.append(np.array(feats))
+                return segmenter_forward(seg, feats)
 
-        monkeypatch.setattr(toy_pipeline, "_BLOCK_PIXELS", 2 * 8 * 8)
-        monkeypatch.setattr(toy_pipeline, "segmenter_forward", recording)
-        blocked = train(cfg, data)
-        # the initial pass, then one per epoch; a step never calls the forward
-        assert [len(f) for f in forwarded] == [16, 16, 8] * (cfg.epochs + 1)
-        for i in range(0, len(forwarded), 3):
-            assert np.concatenate(forwarded[i:i + 3]).tobytes() == want.tobytes()
-        assert blocked.log == whole.log
-        assert blocked.pseudo_masks.tobytes() == whole.pseudo_masks.tobytes()
-        for a, b in zip(blocked.models, whole.models):
-            assert a.tobytes() == b.tobytes()
+            with monkeypatch.context() as patch:
+                patch.setattr(toy_pipeline, "_BLOCK_PIXELS", 2 * 8 * 8)
+                patch.setattr(toy_pipeline, "segmenter_forward", recording)
+                blocked = train(cfg, data)
+            # a step never calls the forward
+            assert [len(f) for f in forwarded] == [16, 16, 8] * passes
+            for i in range(0, len(forwarded), 3):
+                assert np.concatenate(forwarded[i:i + 3]).tobytes() == want.tobytes()
+            assert blocked.log == whole.log
+            assert blocked.pseudo_masks.tobytes() == whole.pseudo_masks.tobytes()
+            for a, b in zip(blocked.models, whole.models):
+                assert a.tobytes() == b.tobytes()
 
     def test_peak_allocation_below_the_feature_array(self):
         """Training on 400 source images of 16x16 allocates, at its peak,
@@ -292,3 +296,36 @@ class TestPerBatchFeatures:
         finally:
             tracemalloc.stop()
         assert peak < feature_bytes
+
+    def test_peak_allocation_below_the_target_map(self, monkeypatch):
+        """With pseudo labels on 400 target images of 16x16, train's
+        allocation never rises above what it holds once its inputs,
+        models and superpixels are built by as much as the (K, N*H*W)
+        float64 probability map of all target images: no pass keeps that
+        map.  Blocks of 4 images make a block as small a part of the
+        target set as one 256x256 image is of 100."""
+        n_src, n_tgt, side = 8, 400, 16
+        data = gen_synthetic(SynthConfig(image_size=side, source_count=n_src,
+                                         target_count=n_tgt, seed=3))
+        map_bytes = 2 * n_tgt * side * side * 8
+        cfg = TrainConfig(epochs=2, learning_rate=0.5, seed=3, slic=SlicParams(n_segments=16))
+        # SLIC is slow under tracemalloc: its maps are made before tracing starts
+        superpixels = toy_pipeline._tall_superpixels(data["target"]["images"], cfg.slic)
+        held = []
+
+        def after_setup(images, params):
+            out = superpixels.copy()
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return out
+
+        monkeypatch.setattr(toy_pipeline, "_tall_superpixels", after_setup)
+        monkeypatch.setattr(toy_pipeline, "_BLOCK_PIXELS", 4 * side * side)
+        tracemalloc.start()
+        try:
+            train(cfg, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 1
+        assert peak - held[0] < map_bytes
