@@ -9,14 +9,17 @@ data: Full (pseudo labels, SRT and ADV on) and BL (`--no-pl --no-srt
 to this directory), N times each.  The trees take turns, side by side:
 each round runs every tree once, and the round's first tree rotates, so
 that two trees (say a parent commit and a change) are compared within
-one harness run.  Every child runs alone, with one BLAS thread.  For
-each child it prints the wall time and the child's own peak RSS
-(`ru_maxrss` from `wait4`); then the median of each side, call and tree;
-then one JSON document of all rows and medians, which --out also writes
-to a file.  The data is the acceptance-c8 configuration (200 source /
-100 target images, lr 0.5, eta 0.01, mu 0.01) at each side, with fewer
-epochs at the larger sides; `gen-synth` runs from the first tree.  Uses
-only the standard library.
+one harness run.  Every child runs alone, with one BLAS thread; CLI
+`train` runs SLIC on every CPU it may use, so the harness first prints
+that count, which the JSON document holds too (a 1-CPU run is serial).
+For each child it prints the wall time and the child's own peak RSS
+(`ru_maxrss` from `wait4`, which covers the processes it forked and
+reaped); then the median of each side, call and tree; then one JSON
+document of all rows and medians, which --out also writes to a file.
+The data is the acceptance-c8 configuration (200 source / 100 target
+images, lr 0.5, eta 0.01, mu 0.01) at each side, with fewer epochs at
+the larger sides; `gen-synth` runs from the first tree.  Uses only the
+standard library.
 """
 
 import argparse
@@ -78,6 +81,8 @@ def main(argv=None):
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
     srcs = [os.path.abspath(src) for src in args.src]
+    cpus = len(os.sched_getaffinity(0))
+    print(f"CPUs this run may use: {cpus}", flush=True)
 
     rows = []
     with tempfile.TemporaryDirectory() as work:
@@ -110,8 +115,8 @@ def main(argv=None):
     for m in summary:
         print(f"{m['side']:4d}^2  {m['call']:9s}  wall {m['wall_s']:8.2f} s  "
               f"peak RSS {m['peak_rss_mib']:8.1f} MiB  n={m['n']}  {m['src']}")
-    doc = {"src": srcs, "repeat": args.repeat, "config": CONFIG, "epochs": EPOCHS,
-           "rows": rows, "medians": summary}
+    doc = {"src": srcs, "cpus": cpus, "repeat": args.repeat, "config": CONFIG,
+           "epochs": EPOCHS, "rows": rows, "medians": summary}
     text = json.dumps(doc, indent=1)
     if args.out:
         with open(args.out, "w") as fh:

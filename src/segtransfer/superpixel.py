@@ -175,7 +175,8 @@ def slic(img, params: SlicParams = SlicParams(), return_energies: bool = False):
             labels[uy, ux] = pick
             dist[uy, ux] = d_all[np.arange(len(pick)), pick]
 
-        energies.append(float((dist ** 2).sum()))
+        if return_energies:
+            energies.append(float((dist ** 2).sum()))
 
         flat = labels.ravel()
         # bincount adds in pixel order from 0.0, as np.add.at would

@@ -19,7 +19,7 @@ from .core import _first_max, as_prob_map
 # outputs cannot produce non-finite lambdas
 MIN_PROB = 1e-12
 
-# pixels read at once from a probability map
+# pixels handled at once outside a training step, here and in toy_pipeline
 _BLOCK_PIXELS = 1 << 14
 
 

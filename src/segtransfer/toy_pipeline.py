@@ -30,6 +30,9 @@ centroid (weight gamma^0 = 1); the accumulated history is a constant
 buffer, so backpropagation never unrolls across steps.
 """
 
+import mmap
+import os
+import signal
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -49,7 +52,7 @@ from .metrics import ConfusionMatrix, accumulate, summary
 from .pseudo_label import generate
 from .rng import SplitMix64
 from .superpixel import SlicParams, slic
-from .thresholds import ClassValues, CurriculumSchedule, portion_at
+from .thresholds import _BLOCK_PIXELS, ClassValues, CurriculumSchedule, portion_at
 from .transfer import BatchCentroids, CentroidBank, srt_loss, update_bank
 
 LESION_RATE = 0.75
@@ -128,12 +131,6 @@ def init_models(feature_dim: int, num_classes: int, seed: int) -> ToyModels:
 
 # ---------------------------------------------------------------------------
 # features and forward passes
-
-
-# Upper bound on the pixels featurised at once outside a training step: the
-# target pass forwards whole images in blocks of this many pixels, and the
-# pooled classifier inputs are built block by block.
-_BLOCK_PIXELS = 1 << 14
 
 
 def _block_images(h: int, w: int) -> int:
@@ -575,16 +572,57 @@ def _target_blocks(models, images, pooled, refine, features):
         yield slice(i, i + b), p
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on; 1 where it cannot say (as where it cannot fork)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 def _tall_superpixels(images, params) -> np.ndarray:
     """SLIC of each image, stacked into one tall map, with every image's
     IDs offset past those of the images above it, so that no superpixel
-    spans two images."""
-    maps = [slic(im, params) for im in images]
-    offset = 0
-    for m in maps:
-        m += offset
-        offset = int(m.max()) + 1
-    return np.concatenate(maps)
+    spans two images.
+
+    The images are split into contiguous ranges, one per CPU and at most
+    one per image.  This process runs the first; each other runs in a
+    forked child that writes its maps into a shared mmap made before the
+    fork.  A range whose child did not exit 0 is run again here, so its
+    error surfaces as in a serial run.  No map depends on the split.
+    """
+    n = len(images)
+    h, w = np.shape(images[0])[:2]
+    maps = np.frombuffer(mmap.mmap(-1, max(1, n * h * w * 4)), dtype=np.int32,
+                         count=n * h * w).reshape(n, h, w)
+    ranges = np.array_split(np.arange(n), max(1, min(n, _cpu_count())))
+
+    def fill(r):
+        for i in ranges[r]:
+            maps[i] = slic(images[i], params)
+
+    children, failed = {}, []
+    try:
+        for r in range(1, len(ranges)):
+            pid = os.fork()
+            if pid == 0:
+                # never return into the caller, nor flush its stdio buffers
+                try:
+                    fill(r)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            children[pid] = r
+        fill(0)
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, r in children.items():
+            if os.waitpid(pid, 0)[1] != 0:
+                failed.append(r)
+    for r in failed:
+        fill(r)
+    maps[1:] += np.cumsum(maps.max(axis=(1, 2)) + 1)[:-1, None, None]
+    return maps.reshape(n * h, w)
 
 
 def _scan_targets(models, target_pass, p=None, cm=None, eval_masks=None):
@@ -622,9 +660,10 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
     values of the next epoch's thresholds; with pseudo labels, each epoch
     opens with a pass that labels every block under those thresholds, the
     same weights giving the same bits, and an initial pass gathers the
-    first epoch's values.  Blocks hold whole images and no superpixel
-    spans two, so every output equals that of one pass over all target
-    images at once.
+    first epoch's values.  The superpixel maps are made once, by one
+    process per CPU this one may use (see _tall_superpixels).  Blocks
+    hold whole images and no superpixel spans two, so every output equals
+    that of one pass over all target images at once.
     """
     k = int(data["num_classes"])
     tgt = data["target"]

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from segtransfer import tensorio
+from segtransfer import tensorio, toy_pipeline
 from segtransfer.cli import main
 from segtransfer.core import IGNORE
 
@@ -295,6 +295,22 @@ class TestTrainCmd:
         cfg, data_dir, _ = tiny_dataset
         Path(data_dir, "source", "labels.json").write_text('{"files": [], "image_labels": []}')
         self.assert_rejected(cfg, data_dir, str(tmp_path / "run"))
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 4])
+    def test_too_many_segments(self, tiny_dataset, tmp_path, capfd, monkeypatch, n_workers):
+        """SLIC's error, met in every worker, is reported once, by the caller
+        alone, and no worker is left behind."""
+        cfg, data_dir, _ = tiny_dataset
+        monkeypatch.setattr(toy_pipeline, "_cpu_count", lambda: n_workers)
+        cfg = write_config(tmp_path / "segs.json", **{**json.loads(Path(cfg).read_text()),
+                                                     "n_segments": 12 * 12 + 1})
+        capfd.readouterr()
+        self.assert_rejected(cfg, data_dir, str(tmp_path / "run"))
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err == "error: 145 segments requested for 144 pixels\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_ablation_flags(self, tiny_dataset, tmp_path):
         cfg, data_dir, _ = tiny_dataset
