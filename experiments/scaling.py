@@ -11,7 +11,9 @@ each round runs every tree once, and the round's first tree rotates, so
 that two trees (say a parent commit and a change) are compared within
 one harness run.  Every child runs alone, with one BLAS thread; CLI
 `train` runs SLIC on every CPU it may use, so the harness first prints
-that count, which the JSON document holds too (a 1-CPU run is serial).
+that count, which the JSON document holds too (a 1-CPU run is serial),
+and the line count of each tree's `segtransfer/*.py` files, as `wc -l`
+gives it, which the document holds as `src_lines`.
 For each child it prints the wall time and the child's own peak RSS
 (`ru_maxrss` from `wait4`, which covers the processes it forked and
 reaped); then the median of each side, call and tree; then one JSON
@@ -58,6 +60,17 @@ def run_child(args, src, log):
     return wall, usage.ru_maxrss / 1024.0
 
 
+def src_lines(src):
+    """Newlines in the tree's segtransfer/*.py files: the count `wc -l` gives."""
+    pkg = os.path.join(src, "segtransfer")
+    total = 0
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+                total += fh.read().count("\n")
+    return total
+
+
 def medians(rows):
     """The median wall time and peak RSS of each (side, call, tree)."""
     groups = {}
@@ -83,6 +96,9 @@ def main(argv=None):
     srcs = [os.path.abspath(src) for src in args.src]
     cpus = len(os.sched_getaffinity(0))
     print(f"CPUs this run may use: {cpus}", flush=True)
+    lines = {src: src_lines(src) for src in srcs}
+    for src, n in lines.items():
+        print(f"{n} lines in {src}/segtransfer/*.py", flush=True)
 
     rows = []
     with tempfile.TemporaryDirectory() as work:
@@ -115,7 +131,7 @@ def main(argv=None):
     for m in summary:
         print(f"{m['side']:4d}^2  {m['call']:9s}  wall {m['wall_s']:8.2f} s  "
               f"peak RSS {m['peak_rss_mib']:8.1f} MiB  n={m['n']}  {m['src']}")
-    doc = {"src": srcs, "cpus": cpus, "repeat": args.repeat, "config": CONFIG,
+    doc = {"src": srcs, "src_lines": lines, "cpus": cpus, "repeat": args.repeat, "config": CONFIG,
            "epochs": EPOCHS, "rows": rows, "medians": summary}
     text = json.dumps(doc, indent=1)
     if args.out:

@@ -19,7 +19,6 @@ from .superpixel import SlicParams, enforce_connectivity, rgb_to_lab, slic
 from .transfer import (
     BatchCentroids,
     CentroidBank,
-    batch_centroids,
     srt_loss,
     update_bank,
 )
@@ -37,8 +36,6 @@ from .toy_pipeline import (
     TrainConfig,
     gen_synthetic,
     gradcheck,
-    pixel_features,
-    stack_features,
     segmenter_forward,
     train,
 )

@@ -13,14 +13,13 @@ import csv
 import dataclasses
 import io
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
 from . import tensorio
-from .core import IGNORE, validate_prob_map
+from .core import IGNORE, cast_json_value, validate_prob_map
 from .errors import (
     InvalidConfigError,
     MissingFilesError,
@@ -32,7 +31,7 @@ from .metrics import ConfusionMatrix, accumulate, summary
 from .pseudo_label import assign_initial, generate
 from .superpixel import SlicParams, slic
 from .thresholds import ClassThresholds, CurriculumSchedule, determine_lambdas
-from .toy_pipeline import SynthConfig, TrainConfig, train, gen_synthetic, gradcheck
+from .toy_pipeline import SynthConfig, TrainConfig, gen_synthetic, gradcheck, stack_dataset, train
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -66,19 +65,13 @@ CONFIG_DEFAULTS = {key: f.default for cls in (SynthConfig, TrainConfig)
                    for key, f in _flat_fields(cls)}
 
 
-def _cast(key, typ, value):
-    # bool("false"), int(1.7), float(True) and float("1") would silently
-    # reinterpret the value, and NaN or an infinity passes every range check
-    if typ is bool:
-        ok, kind = isinstance(value, bool), "true or false"
-    else:
-        ok = (isinstance(value, int) and not isinstance(value, bool)
-              or isinstance(value, float) and math.isfinite(value)
-              and (typ is float or value.is_integer()))
-        kind = "a finite number" if typ is float else "an integer"
-    if not ok:
-        raise InvalidConfigError(f"{key} must be {kind}, got {json.dumps(value)}")
-    return typ(value)
+def _read_json(path, what):
+    """The JSON document at path; a file that is not JSON is a validation error."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+            raise InvalidConfigError(f"{what} is not valid JSON: {e}")
 
 
 def _build(cls, cfg: dict):
@@ -89,7 +82,7 @@ def _build(cls, cfg: dict):
             kwargs[f.name] = _build(f.type, cfg)
         else:
             key = _RENAMES.get((cls, f.name), f.name)
-            kwargs[f.name] = _cast(key, f.type, cfg[key])
+            kwargs[f.name] = cast_json_value(key, f.type, cfg[key])
     return cls(**kwargs)
 
 
@@ -98,11 +91,7 @@ def load_config(path=None, overrides=None) -> dict:
     config key and is not None (argparse leaves unset flags at None)."""
     cfg = dict(CONFIG_DEFAULTS)
     if path is not None:
-        with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise InvalidConfigError(f"config is not valid JSON: {e}")
+        doc = _read_json(path, "config")
         if not isinstance(doc, dict):
             raise InvalidConfigError("config must be a flat JSON object")
         unknown = sorted(set(doc) - set(CONFIG_DEFAULTS))
@@ -207,8 +196,7 @@ def cmd_pseudolabel(args) -> int:
     cfg = load_config(args.config, vars(args))
     probs = tensorio.read_tensor(args.probs).astype(np.float64)
     validate_prob_map(probs)
-    with open(args.thresholds) as fh:
-        thr = ClassThresholds.from_json_dict(json.load(fh))
+    thr = ClassThresholds.from_json_dict(_read_json(args.thresholds, "thresholds file"))
     img = tensorio.read_tensor(args.image)
     sp = slic(img, _build(SlicParams, cfg))
     mask = generate(probs, thr, sp)
@@ -233,14 +221,10 @@ def _read_mask(path):
 
 
 def _load_dataset(data_dir):
-    """The dataset in gen_synthetic's form, and the target file names."""
+    """The dataset as stack_dataset returns it, and the target file names."""
     docs = {}
     for domain in DATASET_LAYOUT:
-        with open(os.path.join(data_dir, domain, "labels.json")) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ValidationError(f"{domain}/labels.json is not valid JSON: {e}")
+        doc = _read_json(os.path.join(data_dir, domain, "labels.json"), f"{domain}/labels.json")
         if not (isinstance(doc, dict)
                 and all(isinstance(doc.get(key), list) for key in ("files", "image_labels"))):
             raise ValidationError(
@@ -261,7 +245,7 @@ def _load_dataset(data_dir):
     # K is taken from the source masks, and is at least 2
     data["num_classes"] = 1 + max([1, *(int(m[m != IGNORE].max(initial=0))
                                         for m in data["source"]["masks"])])
-    return data, docs["target"]["files"]
+    return stack_dataset(data), docs["target"]["files"]
 
 
 def cmd_train(args) -> int:

@@ -15,10 +15,14 @@ returns: numpy reduces a short last axis far more slowly than it combines
 K whole planes.
 """
 
+import json
+import math
+
 import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    InvalidConfigError,
     NotNormalizedError,
     OutOfRangeError,
 )
@@ -101,3 +105,19 @@ def validate_label_mask(m, num_classes: int) -> None:
 def check_same_shape(a, b, what="inputs") -> None:
     if a.shape[:2] != b.shape[:2]:
         raise DimensionMismatchError(f"{what} disagree: {a.shape[:2]} vs {b.shape[:2]}")
+
+
+def cast_json_value(key, typ, value):
+    """A JSON value read as typ (bool, int or float), or InvalidConfigError."""
+    # bool("false"), int(1.7), float(True) and float("1") would silently
+    # reinterpret the value, and NaN or an infinity passes every range check
+    if typ is bool:
+        ok, kind = isinstance(value, bool), "true or false"
+    else:
+        ok = (isinstance(value, int) and not isinstance(value, bool)
+              or isinstance(value, float) and math.isfinite(value)
+              and (typ is float or value.is_integer()))
+        kind = "a finite number" if typ is float else "an integer"
+    if not ok:
+        raise InvalidConfigError(f"{key} must be {kind}, got {json.dumps(value)}")
+    return typ(value)

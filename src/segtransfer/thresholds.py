@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClassMismatchError, EmptyInputError, InvalidConfigError
-from .core import _first_max, as_prob_map
+from .core import _first_max, as_prob_map, cast_json_value
 
 # floor for gathered probabilities before the log, so degenerate softmax
 # outputs cannot produce non-finite lambdas
@@ -50,12 +50,13 @@ class ClassThresholds:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ClassThresholds":
-        try:
-            lam = np.asarray(doc["lambdas"], dtype=np.float64)
-            k = int(doc["K"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise InvalidConfigError(f"malformed thresholds document: {e}")
-        if k != lam.size:
+        """Read to_json_dict's document as strictly as the CLI reads its
+        config: K an integer and lambdas a list of finite numbers."""
+        if not (isinstance(doc, dict) and "K" in doc and isinstance(doc.get("lambdas"), list)):
+            raise InvalidConfigError("malformed thresholds document: needs K and a lambdas list")
+        k = cast_json_value("K", int, doc["K"])
+        lam = [cast_json_value("lambdas", float, v) for v in doc["lambdas"]]
+        if k != len(lam):
             raise InvalidConfigError("thresholds document: K does not match lambdas length")
         return cls(lam)
 

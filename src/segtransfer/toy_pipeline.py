@@ -14,10 +14,12 @@ arrays, each with its bias last, held by one `ToyModels` named tuple;
 A training step takes one layout: arrays stacked along axis 0, the
 source images first, then the target ones -- pixel features
 (B, H, W, D), masks (B, H, W), image-level labels (B,) and mean-pooled
-features (B, D).  `train` keeps the images as one (N, H, W, C) uint8
-stack, and the masks, labels and pooled features as one array each over
-all images; it gathers every batch from them by one index array and
-builds the batch's pixel features from its images, since they are a
+features (B, D).  The data takes one form too, from `stack_dataset` on:
+each domain's images, masks (eval masks on the target side) and labels
+are one array each along axis 0, the images (N, H, W, C) uint8.  `train`
+adds each domain's pooled features and an (N_t, H, W) array of pseudo
+labels; a step joins its source rows to its target rows in each array
+and builds the batch's pixel features from its images, since they are a
 pure function of them.  No array holds every image's features, nor
 every target image's probability map: each pass over the target images
 forwards them in blocks of whole images, at most _BLOCK_PIXELS pixels
@@ -183,21 +185,6 @@ class _FeatureBuilder:
         out[..., :c] = norm
         out[..., c + 2:] = local.reshape(b, h + 1, w + 1, c)[:, :h, :w]
         return out
-
-
-def stack_features(images) -> np.ndarray:
-    """Pixel features of a (B, H, W, C) image stack -> (B, H, W, 2C+2)
-    float64; see _FeatureBuilder for the layout."""
-    images = np.asarray(images)
-    return _FeatureBuilder(*images.shape)(images)
-
-
-def pixel_features(img) -> np.ndarray:
-    """Pixel features of one (H, W) or (H, W, C) image -> (H, W, 2C+2)."""
-    img = np.asarray(img)
-    if img.ndim == 2:
-        img = img[..., None]
-    return stack_features(img[None])[0]
 
 
 def _sigmoid(z):
@@ -514,44 +501,53 @@ def _all_ignore(shape):
     return np.full(shape, IGNORE, dtype=np.uint16)
 
 
-def _stack_inputs(data):
-    """Check a gen_synthetic-style dataset and stack its step inputs along
-    axis 0, the source images first: images (N, H, W, C) in their own
-    dtype (uint8 in practice), masks (N, H, W) whose target rows are all
-    IGNORE, image-level labels (N,) and mean-pooled pixel features (N, D),
-    built a block of images at a time."""
-    src, tgt = data["source"], data["target"]
-    n_src, n_tgt = len(src["images"]), len(tgt["images"])
-    if n_src == 0 or n_tgt == 0:
+def stack_dataset(data) -> dict:
+    """Check a gen_synthetic-style dataset and return its schema with each
+    domain stacked once along axis 0: images (N, H, W, C) (uint8 in
+    practice), masks or eval masks (N, H, W) uint16 and image-level labels
+    (N,), each the integer 0 or 1.  Stacked entries pass uncopied."""
+    if len(data["source"]["images"]) == 0 or len(data["target"]["images"]) == 0:
         raise EmptyInputError("training needs at least one source and one target image")
-    images = [np.asarray(im) for im in (*src["images"], *tgt["images"])]
-    images = [im[..., None] if im.ndim == 2 else im for im in images]
-    for i, im in enumerate(images):
-        if im.shape != images[0].shape:
-            raise DimensionMismatchError(
-                f"image {i} has shape {im.shape}, image 0 {images[0].shape}")
-    images = np.stack(images)
-    n_img, h, w, c = images.shape
-    for name, given, n in (("source", src["masks"], n_src),
-                           ("target eval", tgt["eval_masks"], n_tgt)):
-        if len(given) != n or any(np.shape(m) != (h, w) for m in given):
-            raise DimensionMismatchError(f"every {name} image needs a mask of its size")
-    if len(src["image_labels"]) != n_src or len(tgt["image_labels"]) != n_tgt:
-        raise DimensionMismatchError("every image needs one image-level label")
-    labels = [*src["image_labels"], *tgt["image_labels"]]
-    for y in labels:
-        # True, "1" and 0.5 would pass a float conversion
-        if isinstance(y, bool) or not isinstance(y, (int, np.integer)) or y not in (0, 1):
-            raise OutOfRangeError(f"image-level label {y!r} is not the integer 0 or 1")
-    masks = _all_ignore((n_img, h, w))
-    masks[:n_src] = src["masks"]
+    out, shape = {"num_classes": data["num_classes"]}, None
+    for domain, mask_key in (("source", "masks"), ("target", "eval_masks")):
+        part = data[domain]
+        images = [np.asarray(im) for im in part["images"]]
+        images = [im[..., None] if im.ndim == 2 else im for im in images]
+        shape = shape or images[0].shape
+        for i, im in enumerate(images):
+            if im.shape != shape:
+                raise DimensionMismatchError(
+                    f"{domain} image {i} has shape {im.shape}, not {shape}")
+        n, masks, labels = len(images), part[mask_key], part["image_labels"]
+        if len(masks) != n or any(np.shape(m) != shape[:2] for m in masks):
+            raise DimensionMismatchError(f"every {domain} image needs a mask of its size")
+        if len(labels) != n:
+            raise DimensionMismatchError("every image needs one image-level label")
+        for y in labels:
+            # True, "1" and 0.5 would pass a float conversion
+            if isinstance(y, bool) or not isinstance(y, (int, np.integer)) or y not in (0, 1):
+                raise OutOfRangeError(f"image-level label {y!r} is not the integer 0 or 1")
+        stack = part["images"] if isinstance(part["images"], np.ndarray) else np.stack(images)
+        out[domain] = {"images": stack.reshape(n, *shape),
+                       mask_key: np.asarray(masks, dtype=np.uint16),
+                       "image_labels": np.asarray(labels)}
+    return out
+
+
+def _pooled_features(images) -> np.ndarray:
+    """(N, H, W, C) images -> (N, D) mean-pooled pixel features, a block at a time."""
+    n, h, w, c = images.shape
     block = _block_images(h, w)
-    features = _FeatureBuilder(min(block, n_img), h, w, c)
-    pooled = np.empty((n_img, 2 * c + 2))
-    for i in range(0, n_img, block):
+    # a builder of its own, freed on return, before any step: reusing
+    # train's made a process's first train 25-35% slower, likely because
+    # freeing a buffer of 512 KB or more raises glibc's mmap threshold, so
+    # that each step's temporaries come from the heap, not fresh mmaps
+    features = _FeatureBuilder(min(block, n), h, w, c)
+    pooled = np.empty((n, 2 * c + 2))
+    for i in range(0, n, block):
         feats = features(images[i:i + block])
         pooled[i:i + block] = feats.reshape(len(feats), h * w, -1).mean(axis=1)
-    return images, masks, np.array(labels, dtype=np.float64), pooled
+    return pooled
 
 
 def _target_blocks(models, images, pooled, refine, features):
@@ -585,8 +581,9 @@ def _tall_superpixels(images, params) -> np.ndarray:
     The images are split into contiguous ranges, one per CPU and at most
     one per image.  This process runs the first; each other runs in a
     forked child that writes its maps into a shared mmap made before the
-    fork.  A range whose child did not exit 0 is run again here, so its
-    error surfaces as in a serial run.  No map depends on the split.
+    fork.  A range whose child did not exit 0, or could not be forked,
+    is run here afterwards, so its error surfaces as in a serial run.  No
+    map depends on the split.
     """
     n = len(images)
     h, w = np.shape(images[0])[:2]
@@ -601,7 +598,11 @@ def _tall_superpixels(images, params) -> np.ndarray:
     children, failed = {}, []
     try:
         for r in range(1, len(ranges)):
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:  # say EAGAIN: the range runs here, as a failed child's
+                failed.append(r)
+                continue
             if pid == 0:
                 # never return into the caller, nor flush its stdio buffers
                 try:
@@ -635,7 +636,7 @@ def _scan_targets(models, target_pass, p=None, cm=None, eval_masks=None):
     for s, probs in _target_blocks(models, *target_pass):
         pred, confid = _first_max(np.moveaxis(probs, -1, 0))
         if cm is not None:
-            accumulate(cm, pred, np.concatenate(eval_masks[s]))
+            accumulate(cm, pred, eval_masks[s].reshape(-1, w))
         if values is not None:
             values.add(pred, confid)
     return None if values is None else values.lambdas(p)
@@ -644,15 +645,15 @@ def _scan_targets(models, target_pass, p=None, cm=None, eval_masks=None):
 def train(cfg: TrainConfig, data: dict) -> TrainResult:
     """Run the full curriculum on a gen_synthetic-style dataset.
 
-    Each domain needs at least one image, all images must share one
-    size, each domain's per-image lists must hold one entry per image,
-    and every image-level label must be the integer 0 or 1.  The images
-    (uint8 in practice), their mean-pooled classifier inputs, masks and
-    image-level labels are each one array over all images, source first,
-    built once; the target rows of the masks hold the current pseudo
-    labels.  No array holds the pixel features of all images: a step
-    gathers its batch from these arrays by one index array and builds
-    the batch's features from its images.  Nor does any array hold every
+    The dataset is checked and stacked by stack_dataset, which copies
+    nothing when it is stacked already; train keeps no other reference to
+    it.  Each domain keeps its own arrays: images (uint8 in practice),
+    their mean-pooled classifier inputs, built once, and image-level
+    labels, with the source masks on one side and, on the other, the
+    eval masks and one (N_t, H, W) array of the current pseudo labels.
+    No array holds the pixel features of all images: a step joins its
+    source rows to its target rows in each of these arrays and builds the
+    batch's features from its images.  Nor does any array hold every
     target image's probability map: each pass over the target images
     forwards them in blocks of whole images and hands each block to its
     consumers before building the next.  The evaluation pass ending an
@@ -665,25 +666,27 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
     hold whole images and no superpixel spans two, so every output equals
     that of one pass over all target images at once.
     """
-    k = int(data["num_classes"])
-    tgt = data["target"]
-    images, masks, labels, pooled = _stack_inputs(data)
-    n_img, h, w, c = images.shape
+    data = stack_dataset(data)
+    k, src, tgt = int(data["num_classes"]), data["source"], data["target"]
+    n_src, h, w, c = src["images"].shape
     n_tgt = len(tgt["images"])
-    n_src = n_img - n_tgt
-    pseudo = masks[n_src:]  # a view: writes land in masks
+    pseudo = _all_ignore((n_tgt, h, w))
+    pooled_s, pooled_t = _pooled_features(src["images"]), _pooled_features(tgt["images"])
+    # each step input as (source rows, target rows)
+    domains = ((src["images"], tgt["images"]), (src["masks"], pseudo),
+               (src["image_labels"], tgt["image_labels"]), (pooled_s, pooled_t))
     # one buffer serves every batch and every block of the target pass
     features = _FeatureBuilder(max(2 * min(cfg.batch_size, n_src),
                                    min(_block_images(h, w), n_tgt)), h, w, c)
-    target_pass = (images[n_src:], pooled[n_src:], cfg.refine_by_classification, features)
+    target_pass = (tgt["images"], pooled_t, cfg.refine_by_classification, features)
 
-    models = init_models(pooled.shape[1], k, cfg.seed)
+    models = init_models(pooled_s.shape[1], k, cfg.seed)
     rng = SplitMix64(cfg.seed).spawn(100)
 
     if cfg.use_pl:
         # images never change, so the spatial priors are computed once
         sp = _tall_superpixels(tgt["images"], cfg.slic).reshape(n_tgt, h, w)
-        negative = (labels[n_src:] == 0)[:, None, None]
+        negative = (tgt["image_labels"] == 0)[:, None, None]
 
     bank_s = CentroidBank(num_classes=k, dim=k, gamma=cfg.gamma)
     bank_t = CentroidBank(num_classes=k, dim=k, gamma=cfg.gamma)
@@ -717,10 +720,10 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
             sel_s = order_s[b0:b0 + cfg.batch_size]
             # the target side walks order_t in step with the source side, wrapping
             sel_t = order_t[np.arange(b0, b0 + len(sel_s)) % n_tgt]
-            idx = np.concatenate([sel_s, n_src + sel_t])
+            batch = [np.concatenate([a[sel_s], b[sel_t]]) for a, b in domains]
             # the features live in a reused buffer: state is spent before the next build
-            state = batch_forward(models, features(images[idx]), masks[idx], labels[idx],
-                                  pooled[idx], len(sel_s), bank_s, bank_t, cfg.weights,
+            state = batch_forward(models, features(batch[0]), *batch[1:], len(sel_s),
+                                  bank_s, bank_t, cfg.weights,
                                   use_adv=cfg.use_adv, use_srt=cfg.use_srt)
             grads = backward_all(models, state)
 
@@ -757,7 +760,7 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
         log.append(record)
 
     return TrainResult(models=models, bank_s=bank_s, bank_t=bank_t,
-                       log=log, pseudo_masks=masks[n_src:])
+                       log=log, pseudo_masks=pseudo)
 
 
 # ---------------------------------------------------------------------------
@@ -791,27 +794,28 @@ def gradcheck(seed: int = 0) -> dict:
     synth = SynthConfig(image_size=GRADCHECK_SIZE, num_classes=2,
                         source_count=GRADCHECK_IMAGES, target_count=GRADCHECK_IMAGES,
                         seed=seed)
-    data = gen_synthetic(synth)
+    data = stack_dataset(gen_synthetic(synth))
+    src, tgt = data["source"], data["target"]
     k = 2
     rng = SplitMix64(seed).spawn(999)
 
-    images, masks, labels, pooled = _stack_inputs(data)
-    feats = stack_features(images)
+    images = np.concatenate([src["images"], tgt["images"]])
+    feats = _FeatureBuilder(*images.shape)(images)
     models = init_models(feats.shape[3], k, seed + 1)
     for w in models:
         w += 0.2 * rng.normal(w.shape)
 
     # fixed pseudo masks with some IGNORE pixels
-    for m in masks[GRADCHECK_IMAGES:]:
-        raw = rng.integers(0, k + 1, (GRADCHECK_SIZE, GRADCHECK_SIZE))
-        m[:] = np.where(raw == k, IGNORE, raw)
+    raw = rng.integers(0, k + 1, tgt["eval_masks"].shape)
+    masks = np.concatenate([src["masks"], np.where(raw == k, IGNORE, raw)])
+    labels = np.concatenate([src["image_labels"], tgt["image_labels"]])
 
     weights = LossWeights(eta=0.3, mu=10.0, alpha=1.0, lambda_global=0.1)
     bank_s = CentroidBank(num_classes=k, dim=k, gamma=0.7,
                           centroids=rng.normal((k, k)), steps=3)
     bank_t = CentroidBank(num_classes=k, dim=k, gamma=0.7,
                           centroids=rng.normal((k, k)), steps=3)
-    batch = (feats, masks, labels, pooled, GRADCHECK_IMAGES)
+    batch = (feats, masks, labels, _pooled_features(images), GRADCHECK_IMAGES)
 
     def fwd():
         return batch_forward(models, *batch, bank_s, bank_t, weights)

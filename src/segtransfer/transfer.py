@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import IGNORE, as_label_mask, check_same_shape
 from .errors import DimensionMismatchError, InvalidConfigError
 
 
@@ -51,32 +50,6 @@ class CentroidBank:
         if self.centroids.shape != (self.num_classes, self.dim):
             raise DimensionMismatchError(
                 f"centroids shape {self.centroids.shape} != ({self.num_classes}, {self.dim})")
-
-
-def batch_centroids(f, m, num_classes: int) -> BatchCentroids:
-    """Sum of feature vectors per labeled class, divided by the TOTAL
-    pixel count (not the per-class count).  Classes without labeled pixels
-    yield zero vectors; IGNORE pixels contribute to no class."""
-    f = np.asarray(f, dtype=np.float64)
-    m = as_label_mask(m)
-    check_same_shape(f, m, "feature map and label mask")
-    h, w = m.shape
-    dim = f.shape[2] if f.ndim == 3 else 1
-    flat_f = f.reshape(h * w, dim)
-    flat_m = m.ravel()
-
-    values = np.zeros((num_classes, dim))
-    counts = np.zeros(num_classes, dtype=np.int64)
-    labeled = flat_m != IGNORE
-    if labeled.any():
-        idx = flat_m[labeled].astype(np.int64)
-        if int(idx.max()) >= num_classes:
-            raise DimensionMismatchError(
-                f"label {int(idx.max())} >= num_classes {num_classes}")
-        np.add.at(values, idx, flat_f[labeled])
-        counts = np.bincount(idx, minlength=num_classes)
-    values /= float(h * w)
-    return BatchCentroids(values=values, counts=counts)
 
 
 def update_bank(bank: CentroidBank, batch: BatchCentroids) -> CentroidBank:

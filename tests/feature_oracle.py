@@ -1,6 +1,6 @@
 """Reference pixel features: the original per-image builder.
 
-`segtransfer.toy_pipeline.stack_features` replaces it with one builder
+`segtransfer.toy_pipeline._FeatureBuilder` replaces it with one builder
 over a stack of images, laid out on a flat zero canvas; its features
 must equal this function's bit for bit.
 """

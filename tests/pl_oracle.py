@@ -33,13 +33,15 @@ from segtransfer.toy_pipeline import (
     ToyModels,
     _block_images,
     _FeatureBuilder,
+    _all_ignore,
     _logistic,
-    _stack_inputs,
+    _pooled_features,
     _tall_superpixels,
     backward_all,
     batch_forward,
     init_models,
     segmenter_forward,
+    stack_dataset,
 )
 from segtransfer.transfer import CentroidBank
 
@@ -183,8 +185,12 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
     forward that fills the map a block of whole images at a time.
     """
     k = int(data["num_classes"])
-    tgt = data["target"]
-    images, masks, labels, pooled = _stack_inputs(data)
+    data = stack_dataset(data)
+    src, tgt = data["source"], data["target"]
+    images = np.concatenate([src["images"], tgt["images"]])
+    masks = np.concatenate([src["masks"], _all_ignore(tgt["eval_masks"].shape)])
+    labels = np.concatenate([src["image_labels"], tgt["image_labels"]])
+    pooled = _pooled_features(images)
     n_img, h, w, c = images.shape
     n_tgt = len(tgt["images"])
     n_src = n_img - n_tgt

@@ -5,7 +5,8 @@ training loop that drives them.
 `segtransfer.toy_pipeline` replaces these with one stacked, class-major
 step over the whole batch; it must match this module to rounding (its
 sums run in another order).  The per-image model forwards the loops call
-are kept here in their original form too.
+are kept here in their original form too, and so is `batch_centroids`,
+the per-image centroid the stacked step computes as one matmul.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from feature_oracle import pixel_features
-from segtransfer.core import IGNORE, argmax_map
+from segtransfer.core import IGNORE, argmax_map, as_label_mask, check_same_shape
 from segtransfer.errors import DimensionMismatchError
 from segtransfer.losses import (
     LossWeights,
@@ -35,7 +36,33 @@ from segtransfer.toy_pipeline import (
     init_models,
     refine_probs_by_classification,
 )
-from segtransfer.transfer import BatchCentroids, CentroidBank, batch_centroids, srt_loss, update_bank
+from segtransfer.transfer import BatchCentroids, CentroidBank, srt_loss, update_bank
+
+
+def batch_centroids(f, m, num_classes: int) -> BatchCentroids:
+    """Sum of feature vectors per labeled class, divided by the TOTAL
+    pixel count (not the per-class count).  Classes without labeled pixels
+    yield zero vectors; IGNORE pixels contribute to no class."""
+    f = np.asarray(f, dtype=np.float64)
+    m = as_label_mask(m)
+    check_same_shape(f, m, "feature map and label mask")
+    h, w = m.shape
+    dim = f.shape[2] if f.ndim == 3 else 1
+    flat_f = f.reshape(h * w, dim)
+    flat_m = m.ravel()
+
+    values = np.zeros((num_classes, dim))
+    counts = np.zeros(num_classes, dtype=np.int64)
+    labeled = flat_m != IGNORE
+    if labeled.any():
+        idx = flat_m[labeled].astype(np.int64)
+        if int(idx.max()) >= num_classes:
+            raise DimensionMismatchError(
+                f"label {int(idx.max())} >= num_classes {num_classes}")
+        np.add.at(values, idx, flat_f[labeled])
+        counts = np.bincount(idx, minlength=num_classes)
+    values /= float(h * w)
+    return BatchCentroids(values=values, counts=counts)
 
 
 @dataclass

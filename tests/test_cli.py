@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from segtransfer import tensorio, toy_pipeline
+from segtransfer import cli, tensorio, toy_pipeline
 from segtransfer.cli import main
 from segtransfer.core import IGNORE
 
@@ -182,6 +182,36 @@ class TestPseudolabelCmd:
                      thr_path, img_path, "--out", out]) == 0
         assert np.all(tensorio.read_tensor(out) == IGNORE)
 
+    @pytest.mark.parametrize("text", [
+        '{"K": 2, "lambdas": [0.4, 0.4]',
+        b'\xff\xfe',
+        '{"K": 2.7, "lambdas": [0.4, 0.4]}',
+        '{"K": "2", "lambdas": [0.4, 0.4]}',
+        '{"K": true, "lambdas": [0.4]}',
+        '{"K": 2, "lambdas": ["0.1", true]}',
+    ])
+    def test_malformed_thresholds_rejected(self, tiny_dataset, tmp_path, capfd, text):
+        """A thresholds file that is not JSON, or whose K or lambdas would
+        have to be reinterpreted, is exit 2 with one error line, as the
+        config is."""
+        cfg, data_dir, _ = tiny_dataset
+        img_path = os.path.join(data_dir, "target", "images", "im_0000.tnsr")
+        probs_path = str(tmp_path / "p.tnsr")
+        tensorio.write_tensor(probs_path, np.full((12, 12, 2), 0.5, dtype=np.float32),
+                              tensorio.DTYPE_F32)
+        thr_path = tmp_path / "t.json"
+        if isinstance(text, bytes):
+            thr_path.write_bytes(text)
+        else:
+            thr_path.write_text(text)
+        out = str(tmp_path / "m.tnsr")
+        capfd.readouterr()
+        assert main(["--config", cfg, "--quiet", "pseudolabel", probs_path,
+                     str(thr_path), img_path, "--out", out]) == 2
+        err = capfd.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_probs_rejected(self, tiny_dataset, tmp_path, bad):
         cfg, data_dir, _ = tiny_dataset
@@ -311,6 +341,29 @@ class TestTrainCmd:
         assert err == "error: 145 segments requested for 144 pixels\n"
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_train_reads_the_arrays_it_loads(self, tiny_dataset, tmp_path, monkeypatch):
+        """The dataset is loaded as stack_dataset's arrays, not per-image
+        lists, and train reads those arrays, not copies of them."""
+        cfg, data_dir, _ = tiny_dataset
+        loaded, read = [], []
+        real_load, real_pool = cli._load_dataset, toy_pipeline._pooled_features
+        monkeypatch.setattr(cli, "_load_dataset",
+                            lambda path: loaded.append(real_load(path)) or loaded[-1])
+        monkeypatch.setattr(toy_pipeline, "_pooled_features",
+                            lambda images: read.append(images) or real_pool(images))
+        assert main(["--config", cfg, "--quiet", "train", data_dir,
+                     "--out", str(tmp_path / "run")]) == 0
+        (data, names), = loaded
+        assert names == [f"im_{i:04d}" for i in range(4)]
+        for domain, mask_key, n in (("source", "masks", 6), ("target", "eval_masks", 4)):
+            part = data[domain]
+            assert part["images"].shape == (n, 12, 12, 1) and part["images"].dtype == np.uint8
+            assert part[mask_key].shape == (n, 12, 12) and part[mask_key].dtype == np.uint16
+            assert isinstance(part["image_labels"], np.ndarray)
+            assert part["image_labels"].shape == (n,)
+        assert [np.shares_memory(images, data[domain]["images"])
+                for images, domain in zip(read, ("source", "target"))] == [True, True]
 
     def test_ablation_flags(self, tiny_dataset, tmp_path):
         cfg, data_dir, _ = tiny_dataset

@@ -131,6 +131,15 @@ class TestOverrides:
 
 
 class TestNoSilentCasts:
+    @pytest.mark.parametrize("raw", [b'{"epochs": 1', b'\xff\xfe{}'])
+    def test_config_that_is_not_json(self, tmp_path, raw):
+        """A truncated document, or bytes that are not UTF-8: exit 2, not
+        a traceback."""
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(raw)
+        assert main(["--quiet", "--config", str(cfg), "gen-synth", str(tmp_path / "d")]) == 2
+        assert not os.path.exists(tmp_path / "d")
+
     @pytest.mark.parametrize("doc", [
         {"use_pl": "false"}, {"use_srt": 0}, {"enforce_connectivity": 1},
         {"refine_by_classification": None},

@@ -6,27 +6,27 @@ import numpy as np
 import pytest
 
 from feature_oracle import pixel_features as oracle_features
-from segtransfer.toy_pipeline import (_FeatureBuilder, SynthConfig, gen_synthetic,
-                                      pixel_features, stack_features)
+from segtransfer.toy_pipeline import _FeatureBuilder, SynthConfig, gen_synthetic
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 
 def assert_matches_oracle(images):
-    """stack_features, a reused builder and pixel_features all give the
-    oracle's bytes."""
+    """A builder of the stack's size, a larger one reused and one per
+    image all give the oracle's bytes."""
     images = np.asarray(images)
     want = np.stack([oracle_features(im) for im in images])
-    got = stack_features(images)
+    got = _FeatureBuilder(*images.shape)(images)
     assert got.dtype == np.float64 and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     builder = _FeatureBuilder(len(images) + 2, *images.shape[1:])
     for _ in range(2):  # a second call reuses the buffers of the first
         assert builder(images).tobytes() == want.tobytes()
         assert builder(images[1:]).tobytes() == want[1:].tobytes()
+    single = _FeatureBuilder(1, *images.shape[1:])
     for im, f in zip(images, want):
-        assert pixel_features(im).tobytes() == f.tobytes()
+        assert single(im[None])[0].tobytes() == f.tobytes()
 
 
 @pytest.mark.parametrize("channels", [1, 3])
@@ -51,8 +51,10 @@ def test_extremes_next_to_each_other():
 
 
 def test_two_dimensional_image():
+    """A (H, W) image is featurised as its (H, W, 1) form."""
     img = np.random.default_rng(3).integers(0, 256, (5, 9), dtype=np.uint8)
-    assert pixel_features(img).tobytes() == oracle_features(img).tobytes()
+    got = _FeatureBuilder(1, 5, 9, 1)(img[None, ..., None])[0]
+    assert got.tobytes() == oracle_features(img).tobytes()
 
 
 def test_synthetic_images():

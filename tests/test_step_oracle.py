@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import step_oracle as oracle
+from feature_oracle import pixel_features
 from segtransfer.core import IGNORE
 from segtransfer.errors import DimensionMismatchError, EmptyInputError, OutOfRangeError
 from segtransfer.losses import LossWeights
@@ -21,7 +22,6 @@ from segtransfer.toy_pipeline import (
     batch_forward,
     gen_synthetic,
     init_models,
-    pixel_features,
     train,
 )
 from segtransfer.transfer import CentroidBank

@@ -4,6 +4,7 @@ tall map must equal the serial one byte for byte for any number of
 workers; a child that fails or is killed must cost time only; an error
 must surface as in a serial run; and no child may outlive the call."""
 
+import errno
 import os
 import signal
 import time
@@ -122,14 +123,36 @@ def test_failed_child_costs_time_only(workers, wrap_slic, action, n_workers):
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("failing", [{1}, {2}, {1, 2}])
+def test_failed_fork_runs_its_range_here(workers, monkeypatch, failing):
+    """A fork that raises, the first or the second after the first made
+    a child: its range runs in the caller, the map keeps every byte and
+    the child that was made is reaped."""
+    images = synth(5)["target"]["images"]
+    real_fork = os.fork
+    forks = []
+
+    def fork():
+        forks.append(1)
+        if len(forks) in failing:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real_fork()
+    monkeypatch.setattr(os, "fork", fork)
+    workers(3)
+    assert _tall_superpixels(images, PARAMS).tobytes() == serial_map(images).tobytes()
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
 def test_error_surfaces_as_in_a_serial_run(workers, wrap_slic):
     """An image that fails wherever it is segmented: `train` raises the
     serial run's exception, though a child met it first."""
     data = synth(5, source_count=4)
-    bad = data["target"]["images"][-1]
+    bad = data["target"]["images"][-1].tobytes()
 
     def fail(img, params, real):
-        if img is bad:
+        # train segments rows of its stack, so the image is found by value
+        if img.tobytes() == bad:
             raise ValueError(f"cannot segment image with mean {img.mean():.4f}")
         return real(img, params)
     wrap_slic(fail)

@@ -174,6 +174,29 @@ class TestClassThresholds:
         back = ClassThresholds.from_json_dict(thr.to_json_dict())
         np.testing.assert_array_equal(back.lambdas, thr.lambdas)
 
+    @pytest.mark.parametrize("doc", [
+        {"K": 2.7, "lambdas": [0.1, 0.2]},
+        {"K": "2", "lambdas": [0.1, 0.2]},
+        {"K": True, "lambdas": [0.1]},
+        {"K": 2, "lambdas": ["0.1", True]},
+        {"K": 2, "lambdas": [0.1, None]},
+        {"K": 1, "lambdas": 0.1},
+        {"lambdas": [0.1]},
+        {"K": 0, "lambdas": []},
+        [2, [0.1, 0.2]],
+    ])
+    def test_json_rejects_what_it_would_reinterpret(self, doc):
+        """K must be an integer and lambdas a list of numbers: 2.7, "2" and
+        true are not read as 2 or 1, nor "0.1" and true as 0.1 and 1.0."""
+        with pytest.raises(InvalidConfigError):
+            ClassThresholds.from_json_dict(doc)
+
+    def test_json_accepts_integral_numbers(self):
+        """As in the config, an integral float is an integer and an integer
+        a float."""
+        thr = ClassThresholds.from_json_dict({"K": 2.0, "lambdas": [0, 0.5]})
+        assert thr.lambdas.dtype == np.float64 and thr.lambdas.tolist() == [0.0, 0.5]
+
     def test_rejects_negative(self):
         with pytest.raises(InvalidConfigError):
             ClassThresholds(np.array([-0.1]))

