@@ -12,6 +12,7 @@ Layout, all little-endian, no padding:
 Writes are atomic (temp file + rename in the target directory).
 """
 
+import functools
 import json
 import os
 import struct
@@ -43,6 +44,14 @@ _NP_TO_CODE = {
 }
 
 
+@functools.cache
+def _new_file_mode() -> int:
+    """0o666 less the umask, read once per process (reading it means setting it)."""
+    umask = os.umask(0)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
 def atomic_write_bytes(path, data: bytes) -> None:
     path = os.fspath(path)
     d = os.path.dirname(path) or "."
@@ -50,6 +59,8 @@ def atomic_write_bytes(path, data: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+        # mkstemp makes the file 0o600, and the rename would keep that
+        os.chmod(tmp, _new_file_mode())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

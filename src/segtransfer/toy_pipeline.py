@@ -9,7 +9,8 @@ pseudo labels, exponentially-weighted centroid alignment (computed on
 the softmax outputs, the toy analog of penultimate features), and
 output-space adversarial alignment.  The models are plain weight
 arrays, each with its bias last, held by one `ToyModels` named tuple;
-`backward_all` returns the gradients as a `ToyModels` too.
+`batch_forward` runs a training step and returns the gradients as a
+`ToyModels` too.
 
 A training step takes one layout: arrays stacked along axis 0, the
 source images first, then the target ones -- pixel features
@@ -18,14 +19,22 @@ features (B, D).  The data takes one form too, from `stack_dataset` on:
 each domain's images, masks (eval masks on the target side) and labels
 are one array each along axis 0, the images (N, H, W, C) uint8.  `train`
 adds each domain's pooled features and an (N_t, H, W) array of pseudo
-labels; a step joins its source rows to its target rows in each array
-and builds the batch's pixel features from its images, since they are a
-pure function of them.  No array holds every image's features, nor
-every target image's probability map: each pass over the target images
-forwards them in blocks of whole images, at most _BLOCK_PIXELS pixels
-each, and hands each block to the evaluation, the threshold values and
-the pseudo labels before the next is built.  With pseudo labels an
-epoch makes two such passes, one without.
+labels, gathers each batch's rows into buffers of the run and builds the
+batch's pixel features from its images, since they are a pure function
+of them.  No array holds every image's features, nor every target
+image's probability map: each pass over the target images forwards them
+in blocks of whole images, at most _BLOCK_PIXELS pixels each, and hands
+each block to the evaluation, the threshold values and the pseudo labels
+before the next is built.  With pseudo labels an epoch makes two such
+passes, one without.
+
+A step forwards only the images that can carry a pixel gradient: the
+segmentation loss and the centroids read labelled pixels only, and only
+ADV reads every target pixel.  So with ADV off, a target image whose
+mask is all IGNORE adds exactly zero to every loss and gradient but the
+classifier's, and a step forwards its target rows only if one of their
+masks holds a label.  Leaving out only that trailing block keeps every
+sum's terms in place, so the outputs keep their bits.
 
 Gradients flow into the alignment loss only through the newest batch
 centroid (weight gamma^0 = 1); the accumulated history is a constant
@@ -48,7 +57,6 @@ from .losses import (
     LossWeights,
     adversarial_loss_for_segmenter,
     discriminator_loss,
-    total_loss,
 )
 from .metrics import ConfusionMatrix, accumulate, summary
 from .pseudo_label import generate
@@ -201,33 +209,30 @@ def _check_feature_dim(seg, d: int):
         raise DimensionMismatchError(f"feature dim {d} incompatible with weights {seg.shape}")
 
 
-def _class_major_probs(seg, feats_flat) -> np.ndarray:
-    """(N, D) features -> (K, N) softmax probabilities.
+def _class_major_probs(seg, feats_flat, out=None, col=None) -> np.ndarray:
+    """(N, D) features -> (K, N) softmax probabilities, into `out` if
+    given, with `col` an (N,) scratch row if given.
 
     Class-major, so that every reduction over the K classes or over the
     pixels of one image runs along long contiguous rows.
     """
-    z = seg[:-1].T @ feats_flat.T
+    z = np.matmul(seg[:-1].T, feats_flat.T, out=out)
     z += seg[-1][:, None]
-    z -= z.max(axis=0)
+    z -= np.max(z, axis=0, out=col)
     np.exp(z, out=z)
-    z /= z.sum(axis=0)
+    z /= np.sum(z, axis=0, out=col)
     return z
 
 
-def segmenter_forward(seg, feats) -> np.ndarray:
+def segmenter_forward(seg, feats, work=None) -> np.ndarray:
     """Per-pixel affine map with (D+1, K) weights seg + softmax -> (H, W,
-    K) probability map (a transposed view of the class-major result)."""
+    K) probability map (a transposed view of the class-major result),
+    written into the step buffers `work` if given."""
     feats = np.asarray(feats, dtype=np.float64)
     h, w, d = feats.shape
     _check_feature_dim(seg, d)
-    return _class_major_probs(seg, feats.reshape(h * w, d)).T.reshape(h, w, seg.shape[1])
-
-
-def _map_stats(probs) -> np.ndarray:
-    """(K, B, HW) class-major maps -> (B, 3K) discriminator inputs: per
-    class the spatial mean, max and variance of each map."""
-    return np.concatenate([probs.mean(axis=2), probs.max(axis=2), probs.var(axis=2)]).T
+    out, col = (None, None) if work is None else (work[0][:, :h * w], work[6][:h * w])
+    return _class_major_probs(seg, feats.reshape(h * w, d), out, col).T.reshape(h, w, -1)
 
 
 def refine_probs_by_classification(probs, lesion_prob) -> np.ndarray:
@@ -246,7 +251,7 @@ def refine_probs_by_classification(probs, lesion_prob) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# batch forward / backward
+# the training step
 
 
 def _domain_sum(per_image, image_n) -> float:
@@ -255,54 +260,47 @@ def _domain_sum(per_image, image_n) -> float:
     return float(np.cumsum(per_image / image_n)[-1])
 
 
-@dataclass
-class ForwardState:
-    """Losses, candidate banks, and the intermediates of backward_all.
-
-    Image arrays hold the n_s source images first, then the target ones;
-    pixel arrays are class-major over the images' stacked pixels.
-    """
-    losses: dict
-    new_bank_s: CentroidBank
-    new_bank_t: CentroidBank
-    n_s: int
-    image_n: np.ndarray  # (B,) size of each image's domain, n_s or n_t
-    feats: np.ndarray    # (B*HW, D)
-    probs: np.ndarray    # (K, B*HW) segmenter softmax
-    pixel_w: np.ndarray  # (B*HW,) 1 / (HW * image_n) where labeled, else 0
-    target: np.ndarray   # (K, B*HW) one-hot labels times pixel_w
-    pooled: np.ndarray   # (B, D) classifier inputs
-    labels: np.ndarray   # (B,) image-level labels
-    cls: np.ndarray      # (B,) classifier outputs
-    stats: np.ndarray    # (B, 3K) discriminator inputs; None without use_adv
-    disc: np.ndarray     # (B,) discriminator outputs; None without use_adv
-    srt_grads: tuple
-    eta: float           # weights.eta, 0 without use_adv
-    mu: float            # weights.mu, 0 without use_srt
+def _step_buffers(k: int, n_pix: int) -> tuple:
+    """A run's per-pixel step arrays for up to n_pix pixels: probs, target,
+    g_z, g_p and onehot (K, n_pix), pixel_w, col and labeled (n_pix,)."""
+    return (*np.empty((4, k, n_pix)), np.empty((k, n_pix), bool),
+            *np.empty((2, n_pix)), np.empty(n_pix, bool))
 
 
 def batch_forward(models: ToyModels, feats, masks, labels, pooled, n_s: int,
                   bank_s: CentroidBank, bank_t: CentroidBank, weights: LossWeights,
-                  use_adv: bool = True, use_srt: bool = True) -> ForwardState:
-    """Forward all images of one batch and assemble every loss term.
+                  use_adv: bool = True, use_srt: bool = True, work: tuple = None):
+    """One training step: every loss, the candidate banks and the gradients.
 
-    The inputs are stacked along axis 0, the n_s source images first,
-    then the target ones: feats (B, H, W, D), masks (B, H, W) uint16
-    (pseudo labels on the target side), binary image-level labels (B,)
-    and the mean-pooled feats (B, D).  Every loss is the mean over each
-    domain's images of a per-image term.  Candidate banks are the old
-    banks advanced by this batch's centroids; they are returned for the
-    caller to commit after the gradient step.
+    The inputs are stacked along axis 0, the n_s source images first:
+    binary image-level labels (B,) and mean-pooled features (B, D) of all
+    B images, pixel features (B_f, H, W, D) and masks (B_f, H, W) uint16
+    (pseudo labels on the target side) of the first B_f.  B_f is B, or
+    n_s when use_adv is off and every target mask is all IGNORE, as such
+    images add exactly zero to every term but L_C.  Each loss is the mean
+    over each domain's images of a per-image term.  Returns (losses,
+    new_bank_s, new_bank_t, grads): the old banks advanced by this batch's
+    centroids, for the caller to commit after the gradient step, and a
+    ToyModels of d L_C, d (L_S + eta*L_adv + mu*L_SRT) with the
+    discriminator frozen, and d L_disc with the segmenter outputs frozen.
+    The per-pixel arrays live in `work` (from _step_buffers if None).
     """
-    k = models.segmenter.shape[1]
-    n_img, h, w, d = feats.shape
+    seg, k = models.segmenter, models.segmenter.shape[1]
+    n_img = len(labels)
+    n_f, h, w, d = feats.shape
     n_t = n_img - n_s
-    if np.shape(masks) != (n_img, h, w) or len(labels) != n_img or len(pooled) != n_img:
+    if (np.shape(masks) != (n_f, h, w) or len(pooled) != n_img
+            or n_f != n_img and (n_f != n_s or use_adv)):
         raise DimensionMismatchError("a batch's masks, labels and pooled must match its feats")
-    _check_feature_dim(models.segmenter, d)
-    hw = h * w
-    feats = feats.astype(np.float64, copy=False).reshape(n_img * hw, d)
-    mask = masks.astype(np.uint16, copy=False).ravel()
+    _check_feature_dim(seg, d)
+    hw, n_pix, split = h * w, n_f * h * w, n_s * h * w
+    work = work or _step_buffers(k, n_img * hw)
+    probs, target, g_z, g_p, onehot, pixel_w, col, labeled = (a[..., :n_pix] for a in work)
+    # the bias gradient sums g_z over all B images' pixels, so that its
+    # pairwise sum pairs the terms as if no image were left out
+    g_z_all = work[2][:, :n_img * hw]
+    feats = feats.astype(np.float64, copy=False).reshape(n_pix, d)
+    mask = masks.astype(np.uint16, copy=False).reshape(n_pix)
     image_n = np.repeat([float(n_s), float(n_t)], [n_s, n_t])
     labels = np.asarray(labels, dtype=np.float64)
 
@@ -310,112 +308,94 @@ def batch_forward(models: ToyModels, feats, masks, labels, pooled, n_s: int,
     pc = np.clip(cls, PROB_CLAMP, 1.0 - PROB_CLAMP)
     l_c = _domain_sum(-(labels * np.log(pc) + (1.0 - labels) * np.log(1.0 - pc)), image_n)
 
-    probs = _class_major_probs(models.segmenter, feats)
+    _class_major_probs(seg, feats, probs, col)
 
     # masked cross-entropy over each image's H*W pixels
-    labeled = mask != IGNORE
-    if np.any(labeled & (mask >= k)):
+    np.not_equal(mask, IGNORE, out=labeled)
+    np.equal(mask, np.arange(k, dtype=np.uint16)[:, None], out=onehot)  # IGNORE: no class
+    per_image = labeled.reshape(n_f, hw)
+    n_labeled = per_image.sum(axis=1)
+    if np.count_nonzero(onehot) != n_labeled.sum():  # a labeled pixel of no class
         raise DimensionMismatchError(f"label {int(mask[labeled].max())} >= num_classes {k}")
-    onehot = mask == np.arange(k)[:, None]  # IGNORE matches no class
-    per_image = labeled.reshape(n_img, hw)
-    pixel_w = (per_image / (hw * image_n)[:, None]).ravel()
-    target = onehot * pixel_w
-    p_label = np.clip((probs * onehot).sum(axis=0), PROB_CLAMP, 1.0 - PROB_CLAMP)
-    nll = (-np.log(p_label) * labeled).reshape(n_img, hw)
-    l_s = _domain_sum((nll.sum(axis=1) - weights.lambda_global * per_image.sum(axis=1)) / hw,
-                      image_n)
+    np.divide(per_image, (hw * image_n[:n_f])[:, None], out=pixel_w.reshape(n_f, hw))
+    np.multiply(onehot, pixel_w, out=target)
+    nll = np.sum(np.multiply(probs, onehot, out=g_z), axis=0, out=col)  # p of the label
+    np.negative(np.log(np.clip(nll, PROB_CLAMP, 1.0 - PROB_CLAMP, out=nll), out=nll), out=nll)
+    nll *= labeled
+    # an image left out adds the 0.0 of an all-IGNORE mask
+    l_s = np.zeros(n_img)
+    l_s[:n_f] = (nll.reshape(n_f, hw).sum(axis=1) - weights.lambda_global * n_labeled) / hw
+    l_s = _domain_sum(l_s, image_n)
 
-    # per-class sums of the softmax over labeled pixels, over H*W
-    split = n_s * hw
+    # per-class sums of the softmax over labeled pixels, over H*W; with
+    # the target images left out, the target sum is over no pixel: zero
     cent_s = target[:, :split] @ probs[:, :split].T
     cent_t = target[:, split:] @ probs[:, split:].T
     new_bank_s = update_bank(bank_s, BatchCentroids(cent_s, np.zeros(k, dtype=np.int64)))
     new_bank_t = update_bank(bank_t, BatchCentroids(cent_t, np.zeros(k, dtype=np.int64)))
 
-    if use_srt:
-        l_srt, grad_cs, grad_ct = srt_loss(new_bank_s, new_bank_t, weights.alpha)
-    else:
-        l_srt, grad_cs, grad_ct = 0.0, np.zeros((k, k)), np.zeros((k, k))
-
-    stats = disc = None
+    l_srt, grad_cs, grad_ct = (srt_loss(new_bank_s, new_bank_t, weights.alpha) if use_srt
+                               else (0.0, None, None))
+    l_adv = l_disc = 0.0
     if use_adv:
-        stats = _map_stats(probs.reshape(k, n_img, hw))
+        # per class the spatial mean, max and variance of each image's map
+        p3 = probs.reshape(k, n_img, hw)
+        mean = p3.sum(axis=2) / hw
+        dev = np.subtract(p3, mean[..., None], out=g_z.reshape(k, n_img, hw))
+        var = np.square(dev, out=g_p.reshape(k, n_img, hw)).sum(axis=2) / hw
+        stats = np.concatenate([mean, p3.max(axis=2), var]).T
         disc = _logistic(stats, models.discriminator)
         l_adv, _ = adversarial_loss_for_segmenter(disc[n_s:])
         l_disc, _, _ = discriminator_loss(disc[:n_s], disc[n_s:])
-    else:
-        l_adv, l_disc = 0.0, 0.0
 
     eta = weights.eta if use_adv else 0.0
     mu = weights.mu if use_srt else 0.0
-    losses = {
-        "L_C": l_c,
-        "L_S": l_s,
-        "L_D": l_adv,
-        "L_SRT": l_srt,
-        "L_disc": l_disc,
-        "total": total_loss(l_c, l_s, l_adv, l_srt,
-                            LossWeights(eta, mu, weights.alpha, weights.lambda_global)),
-    }
-    return ForwardState(
-        losses=losses, new_bank_s=new_bank_s, new_bank_t=new_bank_t,
-        n_s=n_s, image_n=image_n, feats=feats, probs=probs, pixel_w=pixel_w,
-        target=target, pooled=pooled, labels=labels, cls=cls, stats=stats,
-        disc=disc, srt_grads=(grad_cs, grad_ct), eta=eta, mu=mu,
-    )
+    losses = {"L_C": l_c, "L_S": l_s, "L_D": l_adv, "L_SRT": l_srt, "L_disc": l_disc,
+              "total": l_c + l_s + eta * l_adv + mu * l_srt}
 
+    g_cls = (cls - labels) / image_n
+    g_w1 = np.concatenate([g_cls @ pooled, [g_cls.sum()]])
 
-def backward_all(models: ToyModels, state: ForwardState) -> ToyModels:
-    """Analytic gradients of the combined objective.
-
-    Returns them as a ToyModels: the classifier block carries d L_C,
-    the segmenter block d (L_S + eta*L_adv + mu*L_SRT) with the
-    discriminator frozen, and the discriminator block d L_disc with the
-    segmenter outputs frozen -- the standard alternating scheme for the
-    adversarial pair.
-    """
-    n_s, eta, mu = state.n_s, state.eta, state.mu
-    probs, target = state.probs, state.target
-    k, n_pix = probs.shape
-    n_img = state.image_n.size
-    n_t, hw = n_img - n_s, n_pix // n_img
-    split = n_s * hw
-
-    g_cls = (state.cls - state.labels) / state.image_n
-    g_w1 = np.append(g_cls @ state.pooled, g_cls.sum())
-
+    # d / d probabilities of the terms that differentiate through them
+    if mu != 0.0:
+        np.matmul(grad_cs.T, target[:, :split], out=g_p[:, :split])
+        np.matmul(grad_ct.T, target[:, split:], out=g_p[:, split:])
+        g_p *= mu
+    elif eta != 0.0:
+        g_p.fill(0.0)
+    if eta != 0.0:
+        disc_w = models.discriminator[:-1]
+        w_mean = disc_w[0:k, None, None]
+        w_max = disc_w[k:2 * k, None]
+        w_var = disc_w[2 * k:3 * k, None, None]
+        coef = (eta * disc[n_s:] / n_t)[None, :, None]  # (1, n_t, 1)
+        p_t = p3[:, n_s:]
+        g_t = g_p.reshape(k, n_img, hw)[:, n_s:]  # a view: writes land in g_p
+        dev_t = dev[:, n_s:]  # p_t minus its spatial mean
+        g_t += coef * (w_mean / hw)
+        arg = p_t.argmax(axis=2)  # first maximum on ties, as np.argmax
+        g_t[np.arange(k)[:, None], np.arange(n_t), arg] += coef[..., 0] * w_max
+        dev_t *= coef * w_var * 2.0
+        dev_t /= hw
+        g_t += dev_t
     # d / d logits of the masked cross-entropy (softmax composite) ...
-    g_z = probs * state.pixel_w - target
-    # ... plus the terms that differentiate through the probabilities
+    np.multiply(probs, pixel_w, out=g_z)
+    g_z -= target
+    # ... plus the softmax Jacobian applied to g_p
     if mu != 0.0 or eta != 0.0:
-        g_p = np.zeros((k, n_pix))
-        if mu != 0.0:
-            grad_cs, grad_ct = state.srt_grads
-            g_p[:, :split] = mu * (grad_cs.T @ target[:, :split])
-            g_p[:, split:] = mu * (grad_ct.T @ target[:, split:])
-        if eta != 0.0:
-            disc_w = models.discriminator[:-1]
-            w_mean = disc_w[0:k, None, None]
-            w_max = disc_w[k:2 * k, None]
-            w_var = disc_w[2 * k:3 * k, None, None]
-            coef = (eta * state.disc[n_s:] / n_t)[None, :, None]  # (1, n_t, 1)
-            p_t = probs.reshape(k, n_img, hw)[:, n_s:]
-            g_t = g_p.reshape(k, n_img, hw)[:, n_s:]  # a view: writes land in g_p
-            mean = state.stats[n_s:, :k].T[..., None]
-            g_t += coef * (w_mean / hw)
-            arg = p_t.argmax(axis=2)  # first maximum on ties, as np.argmax
-            g_t[np.arange(k)[:, None], np.arange(n_t), arg] += coef[..., 0] * w_max
-            g_t += coef * w_var * 2.0 * (p_t - mean) / hw
-        g_z += probs * (g_p - (g_p * probs).sum(axis=0))
+        g_p -= np.sum(np.multiply(g_p, probs, out=target), axis=0, out=col)
+        g_p *= probs
+        g_z += g_p
 
-    g_w2 = np.vstack([state.feats.T @ g_z.T, g_z.sum(axis=1)])
+    g_z_all[:, n_pix:] = 0.0  # the terms of the images left out
+    g_w2 = np.concatenate([feats.T @ g_z.T, g_z_all.sum(axis=1)[None]])
 
     g_wd = np.zeros_like(models.discriminator)
-    if state.disc is not None:
-        g_d = np.concatenate([state.disc[:n_s], state.disc[n_s:] - 1.0]) / state.image_n
-        g_wd = np.append(g_d @ state.stats, g_d.sum())
+    if use_adv:
+        g_d = np.concatenate([disc[:n_s], disc[n_s:] - 1.0]) / image_n
+        g_wd = np.append(g_d @ stats, g_d.sum())
 
-    return ToyModels(g_w2, g_w1, g_wd)
+    return losses, new_bank_s, new_bank_t, ToyModels(g_w2, g_w1, g_wd)
 
 
 # ---------------------------------------------------------------------------
@@ -538,10 +518,10 @@ def _pooled_features(images) -> np.ndarray:
     """(N, H, W, C) images -> (N, D) mean-pooled pixel features, a block at a time."""
     n, h, w, c = images.shape
     block = _block_images(h, w)
-    # a builder of its own, freed on return, before any step: reusing
-    # train's made a process's first train 25-35% slower, likely because
-    # freeing a buffer of 512 KB or more raises glibc's mmap threshold, so
-    # that each step's temporaries come from the heap, not fresh mmaps
+    # a builder of its own, freed on return: freeing a buffer of 512 KB or
+    # more raises glibc's mmap threshold, so that the target passes'
+    # temporaries then come from the heap, not fresh mmaps (sharing
+    # train's builder measured slower in CLI runs)
     features = _FeatureBuilder(min(block, n), h, w, c)
     pooled = np.empty((n, 2 * c + 2))
     for i in range(0, n, block):
@@ -550,11 +530,12 @@ def _pooled_features(images) -> np.ndarray:
     return pooled
 
 
-def _target_blocks(models, images, pooled, refine, features):
+def _target_blocks(models, images, pooled, refine, features, work):
     """Forward the target images under the current weights in blocks of
     whole images, featurised by `features`.  Yields, for each block, the
     slice of the images it holds and their probability maps stacked into
-    one tall (B*H, W, K) map, a transposed view of a class-major array."""
+    one tall (B*H, W, K) map, a transposed view of a class-major array in
+    the step buffers `work`, overwritten by the next block."""
     n, h, w = images.shape[:3]
     if refine:
         preds = _logistic(pooled, models.classifier)
@@ -562,7 +543,7 @@ def _target_blocks(models, images, pooled, refine, features):
     for i in range(0, n, block):
         feats = features(images[i:i + block])
         b = len(feats)
-        p = segmenter_forward(models.segmenter, feats.reshape(b * h, w, -1))
+        p = segmenter_forward(models.segmenter, feats.reshape(b * h, w, -1), work)
         if refine:
             p = refine_probs_by_classification(p, np.repeat(preds[i:i + b], h)[:, None, None])
         yield slice(i, i + b), p
@@ -647,13 +628,14 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
 
     The dataset is checked and stacked by stack_dataset, which copies
     nothing when it is stacked already; train keeps no other reference to
-    it.  Each domain keeps its own arrays: images (uint8 in practice),
-    their mean-pooled classifier inputs, built once, and image-level
-    labels, with the source masks on one side and, on the other, the
-    eval masks and one (N_t, H, W) array of the current pseudo labels.
-    No array holds the pixel features of all images: a step joins its
-    source rows to its target rows in each of these arrays and builds the
-    batch's features from its images.  Nor does any array hold every
+    it.  Each domain keeps its images (uint8 in practice) and masks, the
+    target side its eval masks and an (N_t, H, W) array of the current
+    pseudo labels; the image-level labels and the mean-pooled classifier
+    inputs, built once, are one small array each over both domains.  No
+    array holds the pixel features of all images: a step gathers its rows
+    into buffers of the run and builds the batch's features from its
+    images, the target ones only if ADV is on or one of their pseudo
+    masks holds a label (see batch_forward).  Nor does any array hold every
     target image's probability map: each pass over the target images
     forwards them in blocks of whole images and hands each block to its
     consumers before building the next.  The evaluation pass ending an
@@ -671,16 +653,20 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
     n_src, h, w, c = src["images"].shape
     n_tgt = len(tgt["images"])
     pseudo = _all_ignore((n_tgt, h, w))
-    pooled_s, pooled_t = _pooled_features(src["images"]), _pooled_features(tgt["images"])
-    # each step input as (source rows, target rows)
-    domains = ((src["images"], tgt["images"]), (src["masks"], pseudo),
-               (src["image_labels"], tgt["image_labels"]), (pooled_s, pooled_t))
-    # one buffer serves every batch and every block of the target pass
-    features = _FeatureBuilder(max(2 * min(cfg.batch_size, n_src),
-                                   min(_block_images(h, w), n_tgt)), h, w, c)
-    target_pass = (tgt["images"], pooled_t, cfg.refine_by_classification, features)
+    pooled = np.concatenate([_pooled_features(src["images"]), _pooled_features(tgt["images"])])
+    # whether each target image's pseudo mask holds a label
+    has_label = np.zeros(n_tgt, dtype=bool)
+    # one set of buffers serves every batch and every block of the target pass
+    cap = min(cfg.batch_size, n_src)
+    n_cap = max(2 * cap, min(_block_images(h, w), n_tgt))  # images
+    features, work = _FeatureBuilder(n_cap, h, w, c), _step_buffers(k, n_cap * h * w)
+    target_pass = (tgt["images"], pooled[n_src:], cfg.refine_by_classification, features, work)
+    # each batch's inputs, source rows first, gathered into buffers of the run
+    images_b = np.empty((2 * cap, h, w, c), dtype=src["images"].dtype)
+    masks_b = np.empty((2 * cap, h, w), dtype=np.uint16)
+    labels = np.concatenate([src["image_labels"], tgt["image_labels"]])
 
-    models = init_models(pooled_s.shape[1], k, cfg.seed)
+    models = init_models(pooled.shape[1], k, cfg.seed)
     rng = SplitMix64(cfg.seed).spawn(100)
 
     if cfg.use_pl:
@@ -707,35 +693,43 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
                     # images labelled healthy keep no lesion pixel (IGNORE >= 1 too)
                     block[negative[s] & (block >= 1)] = IGNORE
                 pseudo[s] = block
-                n_labelled += np.count_nonzero(block != IGNORE)
+                labelled = (block != IGNORE).reshape(len(block), -1)
+                has_label[s] = labelled.any(axis=1)
+                n_labelled += np.count_nonzero(labelled)
         pl_fraction = n_labelled / float(pseudo.size)
 
         order_s = rng.shuffled(n_src)
-        order_t = rng.shuffled(n_tgt)
+        # the target side walks its order in step with the source side, wrapping
+        order_t = rng.shuffled(n_tgt)[np.arange(n_src) % n_tgt]
         sums = {"L_C": 0.0, "L_S": 0.0, "L_D": 0.0, "L_SRT": 0.0,
                 "L_disc": 0.0, "total": 0.0}
         n_batches = 0
         last_lr = cfg.learning_rate
         for b0 in range(0, n_src, cfg.batch_size):
-            sel_s = order_s[b0:b0 + cfg.batch_size]
-            # the target side walks order_t in step with the source side, wrapping
-            sel_t = order_t[np.arange(b0, b0 + len(sel_s)) % n_tgt]
-            batch = [np.concatenate([a[sel_s], b[sel_t]]) for a, b in domains]
-            # the features live in a reused buffer: state is spent before the next build
-            state = batch_forward(models, features(batch[0]), *batch[1:], len(sel_s),
-                                  bank_s, bank_t, cfg.weights,
-                                  use_adv=cfg.use_adv, use_srt=cfg.use_srt)
-            grads = backward_all(models, state)
+            sel_s, sel_t = order_s[b0:b0 + cfg.batch_size], order_t[b0:b0 + cfg.batch_size]
+            n_s = len(sel_s)
+            # the target rows go forward only where a gradient can read them
+            n_f = 2 * n_s if cfg.use_adv or has_label[sel_t].any() else n_s
+            # mode="clip" writes straight into out, which "raise" would buffer
+            np.take(src["images"], sel_s, axis=0, out=images_b[:n_s], mode="clip")
+            np.take(src["masks"], sel_s, axis=0, out=masks_b[:n_s], mode="clip")
+            if n_f > n_s:
+                np.take(tgt["images"], sel_t, axis=0, out=images_b[n_s:n_f], mode="clip")
+                np.take(pseudo, sel_t, axis=0, out=masks_b[n_s:n_f], mode="clip")
+            rows = np.concatenate([sel_s, n_src + sel_t])
+            # the features live in a reused buffer, spent before the next build
+            losses, bank_s, bank_t, grads = batch_forward(
+                models, features(images_b[:n_f]), masks_b[:n_f], labels[rows], pooled[rows],
+                n_s, bank_s, bank_t, cfg.weights, cfg.use_adv, cfg.use_srt, work)
 
             lr = cfg.learning_rate * cfg.lr_decay_rate ** (step // cfg.lr_decay_step)
             last_lr = lr
             # without use_adv the discriminator's gradient is exactly zero
             models = ToyModels(*(w - lr * g for w, g in zip(models, grads)))
-            bank_s, bank_t = state.new_bank_s, state.new_bank_t
             step += 1
             n_batches += 1
             for key in sums:
-                sums[key] += state.losses[key]
+                sums[key] += losses[key]
 
         # the evaluation pass also reads the next epoch's thresholds: no
         # step comes between it and the next pseudo-label pass
@@ -769,9 +763,7 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
 
 def _fd_grad(f, x, step=1e-5):
     g = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
+    for idx in np.ndindex(x.shape):
         orig = x[idx]
         x[idx] = orig + step
         hi = f()
@@ -779,7 +771,6 @@ def _fd_grad(f, x, step=1e-5):
         lo = f()
         x[idx] = orig
         g[idx] = (hi - lo) / (2 * step)
-        it.iternext()
     return g
 
 
@@ -789,14 +780,14 @@ def _rel_err(a, b):
 
 
 def gradcheck(seed: int = 0) -> dict:
-    """Compare backward_all against central finite differences on a small
-    random instance.  Returns max relative error per parameter block."""
+    """Compare batch_forward's gradients against central finite
+    differences of its losses on a small random instance.  Returns max
+    relative error per parameter block."""
     synth = SynthConfig(image_size=GRADCHECK_SIZE, num_classes=2,
                         source_count=GRADCHECK_IMAGES, target_count=GRADCHECK_IMAGES,
                         seed=seed)
     data = stack_dataset(gen_synthetic(synth))
-    src, tgt = data["source"], data["target"]
-    k = 2
+    src, tgt, k = data["source"], data["target"], 2
     rng = SplitMix64(seed).spawn(999)
 
     images = np.concatenate([src["images"], tgt["images"]])
@@ -811,22 +802,18 @@ def gradcheck(seed: int = 0) -> dict:
     labels = np.concatenate([src["image_labels"], tgt["image_labels"]])
 
     weights = LossWeights(eta=0.3, mu=10.0, alpha=1.0, lambda_global=0.1)
-    bank_s = CentroidBank(num_classes=k, dim=k, gamma=0.7,
-                          centroids=rng.normal((k, k)), steps=3)
-    bank_t = CentroidBank(num_classes=k, dim=k, gamma=0.7,
-                          centroids=rng.normal((k, k)), steps=3)
-    batch = (feats, masks, labels, _pooled_features(images), GRADCHECK_IMAGES)
+    banks = [CentroidBank(num_classes=k, dim=k, gamma=0.7, centroids=rng.normal((k, k)),
+                          steps=3) for _ in range(2)]  # source, then target
+    batch = (feats, masks, labels, _pooled_features(images), GRADCHECK_IMAGES, *banks, weights)
+    grads = batch_forward(models, *batch)[3]
 
-    def fwd():
-        return batch_forward(models, *batch, bank_s, bank_t, weights)
+    def losses():
+        return batch_forward(models, *batch)[0]
 
-    grads = backward_all(models, fwd())
-    fd_cls = _fd_grad(lambda: fwd().losses["L_C"], models.classifier)
-    fd_seg = _fd_grad(
-        lambda: (lambda s: s.losses["L_S"] + weights.eta * s.losses["L_D"]
-                 + weights.mu * s.losses["L_SRT"])(fwd()),
-        models.segmenter)
-    fd_disc = _fd_grad(lambda: fwd().losses["L_disc"], models.discriminator)
+    fd_cls = _fd_grad(lambda: losses()["L_C"], models.classifier)
+    fd_seg = _fd_grad(lambda: (lambda v: v["L_S"] + weights.eta * v["L_D"]
+                               + weights.mu * v["L_SRT"])(losses()), models.segmenter)
+    fd_disc = _fd_grad(lambda: losses()["L_disc"], models.discriminator)
 
     report = {
         "classifier": _rel_err(grads.classifier, fd_cls),

@@ -12,7 +12,9 @@ is sized by the largest label.
 fills one tall (N*H, W, K) map of all target images (`_target_probs`),
 then runs thresholds, pseudo labels and evaluation over all of it.  Its
 threshold, pseudo-label and argmax calls resolve to the reference
-versions above.
+versions above.  Each of its steps forwards every image of the batch, so
+it also checks that train's steps, which leave out target images with
+nothing to read when ADV is off, give the same bits.
 """
 
 import numpy as np
@@ -37,7 +39,6 @@ from segtransfer.toy_pipeline import (
     _logistic,
     _pooled_features,
     _tall_superpixels,
-    backward_all,
     batch_forward,
     init_models,
     segmenter_forward,
@@ -243,21 +244,20 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
             # the target side walks order_t in step with the source side, wrapping
             sel_t = order_t[np.arange(b0, b0 + len(sel_s)) % n_tgt]
             idx = np.concatenate([sel_s, n_src + sel_t])
-            # the features live in a reused buffer: state is spent before the next build
-            state = batch_forward(models, features(images[idx]), masks[idx], labels[idx],
-                                  pooled[idx], len(sel_s), bank_s, bank_t, cfg.weights,
-                                  use_adv=cfg.use_adv, use_srt=cfg.use_srt)
-            grads = backward_all(models, state)
+            # the features live in a reused buffer, spent before the next build
+            losses, bank_s, bank_t, grads = batch_forward(
+                models, features(images[idx]), masks[idx], labels[idx], pooled[idx],
+                len(sel_s), bank_s, bank_t, cfg.weights,
+                use_adv=cfg.use_adv, use_srt=cfg.use_srt)
 
             lr = cfg.learning_rate * cfg.lr_decay_rate ** (step // cfg.lr_decay_step)
             last_lr = lr
             # without use_adv the discriminator's gradient is exactly zero
             models = ToyModels(*(w - lr * g for w, g in zip(models, grads)))
-            bank_s, bank_t = state.new_bank_s, state.new_bank_t
             step += 1
             n_batches += 1
             for key in sums:
-                sums[key] += state.losses[key]
+                sums[key] += losses[key]
 
         del probs_t  # free the last maps before the forward allocates new ones
         probs_t = _target_probs(models, tgt_images, tgt_pooled,

@@ -34,6 +34,9 @@ REFINE_GATE = {"refine_by_classification": True, "gate_by_image_label": True}
 TRAIN_RUNS = {
     "train full": ("data", {}, []),
     "train bl": ("data", {}, ["--no-pl", "--no-srt", "--no-adv"]),
+    # pseudo labels and SRT without ADV: a step forwards its target rows only
+    # if one of their masks holds a label, as here every one does
+    "train no-adv": ("data", {}, ["--no-adv"]),
     "train refine+gate": ("data", REFINE_GATE, []),
     "blocked train full": ("blocked", {}, []),
     "blocked train refine+gate": ("blocked", REFINE_GATE, []),
@@ -177,6 +180,26 @@ DIGESTS = {
         "pseudo_labels/im_0005.tnsr": "db3fd56f83ce065705e5ff2d816f743d3a398f5ea3e6a84760ce963ba4c3ecc9",
         "pseudo_labels/im_0006.tnsr": "db3fd56f83ce065705e5ff2d816f743d3a398f5ea3e6a84760ce963ba4c3ecc9",
         "pseudo_labels/im_0007.tnsr": "db3fd56f83ce065705e5ff2d816f743d3a398f5ea3e6a84760ce963ba4c3ecc9"
+    },
+    "train no-adv": {
+        "config.json": "5b91b8d4511ef6c5b121134d8c9cf79c2ee4b732b74b80e3aa02b0bce90894db",
+        "log.csv": "3ffcefcc8bba6cdd38a0c50173ea60640f19764e5cdb9eff3135c0a7a3a527b0",
+        "log.jsonl": "8fa95635eb002db31a35e8e7e72a307356205be30a436948a53ba5b0b349d8ec",
+        "models/centroids_source.json": "06f3e0c338cf69d3e8243a830ec7fc0b3b0b70ffd26dff4ecd995cf23ee277eb",
+        "models/centroids_source.tnsr": "33c6581cc365db04df38659aa713200ac7ec8d6fc5c3a466bd51303112e0d821",
+        "models/centroids_target.json": "06f3e0c338cf69d3e8243a830ec7fc0b3b0b70ffd26dff4ecd995cf23ee277eb",
+        "models/centroids_target.tnsr": "fcebe68f15ab09d40d9efd87cdc489e48e532767a52cacaef8d668e8b37ba514",
+        "models/classifier.tnsr": "426751f06462566a09675fa28f0566362816e7cd5cbac97268e65966528475a8",
+        "models/discriminator.tnsr": "bb41a3a2ee820ee30fbcea6277258d7283b43b29bc345524c2b8f67af38b0cc4",
+        "models/segmenter.tnsr": "c7a755d032aa0b18929916564263e12c527445d3cad04c89823650fad6293f97",
+        "pseudo_labels/im_0000.tnsr": "13e1a056c5b0647e47a7de8051be52133c9aa6f03fe10b5411782c0dfc646c40",
+        "pseudo_labels/im_0001.tnsr": "fd6ec7b5b2bc68a469a00e9e9280dfadf089e4d60a483b4cf9418506bab71c7b",
+        "pseudo_labels/im_0002.tnsr": "aab06a4b9985ea6b066f2e327bf88112546fa85b7e13b02762c090a3f4c4bbcf",
+        "pseudo_labels/im_0003.tnsr": "a12a50c0bf4f690bd40281d407af83cf571d215c6099a4d1a47274d452158697",
+        "pseudo_labels/im_0004.tnsr": "d167c8643358e75daab84615f55049664b93660515a9eaa37b07dfa418f857e5",
+        "pseudo_labels/im_0005.tnsr": "f20949f7ee94db34dd163f91fdb025272a444e6ed69a33a2a032f599ca89f191",
+        "pseudo_labels/im_0006.tnsr": "05a9afd6f607e4fdaba8ee7613b4a021468771e99477037d666f37b38e9a189a",
+        "pseudo_labels/im_0007.tnsr": "c2ca1858f356c10eacdb8471f987c9cd6281e79913b534a6444b4e54a8bd0bfc"
     },
     "train refine+gate": {
         "config.json": "bb7cc5d8463838eaae182f921f4ebaca00d598c0ffc445969775eab6e3181bd1",

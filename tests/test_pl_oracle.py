@@ -278,6 +278,10 @@ STREAM_CASES = {
     "never_predicted": (dict(source_count=6, target_count=5), {}, None),
     "small_target": (dict(source_count=9, target_count=2), {}, None),
     "no_pl": (dict(source_count=6, target_count=5), dict(use_pl=False), None),
+    # without ADV, train leaves out target rows whose masks hold no label
+    "no_adv": (dict(source_count=6, target_count=5), dict(use_adv=False), None),
+    "bl": (dict(source_count=6, target_count=5),
+           dict(use_pl=False, use_srt=False, use_adv=False), None),
 }
 
 

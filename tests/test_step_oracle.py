@@ -18,7 +18,6 @@ from segtransfer.toy_pipeline import (
     SynthConfig,
     ToyModels,
     TrainConfig,
-    backward_all,
     batch_forward,
     gen_synthetic,
     init_models,
@@ -98,17 +97,22 @@ def make_batch(k=2, n_s=2, n_t=2, size=8, tgt_masks="mixed", seed=0) -> Batch:
                    [*data["source"]["image_labels"], *data["target"]["image_labels"]], n_s)
 
 
-def assert_step_matches(models, batch, banks, weights, use_adv, use_srt):
-    got = batch_forward(models, *batch, *banks, weights, use_adv=use_adv, use_srt=use_srt)
+def assert_step_matches(models, batch, banks, weights, use_adv, use_srt, skip=False):
+    """With skip, the step gets the pixel features and masks of the
+    source images only, as train passes them when no target mask holds a
+    label; the oracle forwards every image."""
+    pixels = batch[:2] if not skip else (batch.feats[:batch.n_s], batch.masks[:batch.n_s])
+    losses, bank_s, bank_t, grads = batch_forward(models, *pixels, *batch[2:], *banks, weights,
+                                                  use_adv=use_adv, use_srt=use_srt)
     want = oracle.batch_forward(models, batch.lists(), *banks, weights,
                                 use_adv=use_adv, use_srt=use_srt)
-    assert got.losses.keys() == want.losses.keys()
+    assert losses.keys() == want.losses.keys()
     for key in want.losses:
-        assert_close(got.losses[key], want.losses[key])
-    for a, b in ((got.new_bank_s, want.new_bank_s), (got.new_bank_t, want.new_bank_t)):
+        assert_close(losses[key], want.losses[key])
+    for a, b in ((bank_s, want.new_bank_s), (bank_t, want.new_bank_t)):
         assert a.steps == b.steps and a.gamma == b.gamma
         assert_close(a.centroids, b.centroids)
-    g_got, g_want = backward_all(models, got)._asdict(), oracle.backward_all(models, want)
+    g_got, g_want = grads._asdict(), oracle.backward_all(models, want)
     assert g_got.keys() == g_want.keys()
     for key in g_want:
         assert_close(g_got[key], g_want[key])
@@ -123,6 +127,39 @@ def test_step_matches_oracle(use_adv, use_srt, k, tgt_masks):
     models = random_models(batch.feats.shape[3], k, seed=10 + k)
     weights = LossWeights(eta=0.3, mu=2.0, alpha=0.5, lambda_global=0.1)
     assert_step_matches(models, batch, random_banks(k, k), weights, use_adv, use_srt)
+
+
+@pytest.mark.parametrize("size", [8, 13])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("use_srt", [False, True])
+def test_skipped_target_rows_match_oracle(use_srt, k, size):
+    """Without ADV, all-IGNORE target images add nothing the step reads:
+    the step on the source rows alone matches the oracle on all rows, and
+    the all-rows step bit for bit, also where the source pixel count (3 *
+    13 * 13) is no multiple of numpy's 8 pairwise-sum lanes."""
+    batch = make_batch(k=k, n_s=3, n_t=3, size=size, tgt_masks="ignore", seed=k)
+    models = random_models(batch.feats.shape[3], k, seed=10 + k)
+    weights = LossWeights(eta=0.3, mu=2.0, alpha=0.5, lambda_global=0.1)
+    banks = random_banks(k, k)
+    assert_step_matches(models, batch, banks, weights, False, use_srt, skip=True)
+    n_s = batch.n_s
+    whole = batch_forward(models, *batch, *banks, weights, use_adv=False, use_srt=use_srt)
+    part = batch_forward(models, batch.feats[:n_s], batch.masks[:n_s], *batch[2:], *banks,
+                         weights, use_adv=False, use_srt=use_srt)
+    assert whole[0] == part[0]
+    for a, b in zip(whole[1:3], part[1:3]):
+        assert a.centroids.tobytes() == b.centroids.tobytes()
+    for a, b in zip(whole[3], part[3]):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_source_rows_alone_rejected_with_adv():
+    """ADV reads every target pixel, so the target rows cannot be left out."""
+    batch = make_batch(tgt_masks="ignore", seed=2)
+    models = random_models(batch.feats.shape[3], 2, seed=2)
+    with pytest.raises(DimensionMismatchError):
+        batch_forward(models, batch.feats[:batch.n_s], batch.masks[:batch.n_s], *batch[2:],
+                      *random_banks(2, 2), LossWeights(), use_adv=True)
 
 
 @pytest.mark.parametrize("n_s,n_t", [(3, 1), (1, 4), (4, 2)])

@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -106,3 +109,25 @@ class TestNoSilentNarrowing:
         arr = np.array([np.nan, np.inf, -np.inf, 1e-50])
         back = tensorio.tensor_from_bytes(tensorio.tensor_bytes(arr, tensorio.DTYPE_F32))
         np.testing.assert_array_equal(back, arr.astype(np.float32))
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_written_files_get_the_mode_open_would_give(tmp_path, umask):
+    """A written file's mode is 0o666 less the umask, as for a file that
+    open(path, "wb") creates, not mkstemp's 0o600; its bytes are as
+    given."""
+    old = os.umask(umask)
+    tensorio._new_file_mode.cache_clear()  # the umask is read once per process
+    try:
+        with open(tmp_path / "plain", "wb"):
+            pass
+        tensorio.write_tensor(tmp_path / "t.tnsr", np.arange(3, dtype=np.uint8))
+        tensorio.atomic_write_json(tmp_path / "d.json", {"a": 1})
+    finally:
+        os.umask(old)
+        tensorio._new_file_mode.cache_clear()
+    want = 0o666 & ~umask
+    for name in ("plain", "t.tnsr", "d.json"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == want, name
+    assert (tmp_path / "d.json").read_bytes() == b'{\n  "a": 1\n}\n'
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.json", "plain", "t.tnsr"]

@@ -14,7 +14,6 @@ from segtransfer.toy_pipeline import (
     _FeatureBuilder,
     SynthConfig,
     TrainConfig,
-    backward_all,
     batch_forward,
     gen_synthetic,
     gradcheck,
@@ -134,8 +133,7 @@ class TestBackwardAll:
         models = init_models(batch.feats.shape[3], 2, 0)
         models.classifier[:] = 0.0
         banks = CentroidBank(num_classes=2, dim=2, gamma=0.7)
-        state = batch_forward(models, *batch, banks, banks, LossWeights())
-        g = backward_all(models, state).classifier
+        g = batch_forward(models, *batch, banks, banks, LossWeights())[3].classifier
         assert g[-1] == pytest.approx(0.0, abs=1e-12)   # bias
         assert g[1] == pytest.approx(0.0, abs=1e-12)    # row coordinate
         assert g[2] == pytest.approx(0.0, abs=1e-12)    # column coordinate
@@ -149,8 +147,7 @@ class TestBackwardAll:
         models = init_models(batch.feats.shape[3], 2, 3)
         banks = CentroidBank(num_classes=2, dim=2, gamma=0.7)
         w = LossWeights(eta=0.0, mu=0.0)
-        state = batch_forward(models, *batch, banks, banks, w)
-        g_full = backward_all(models, state).segmenter
+        g_full = batch_forward(models, *batch, banks, banks, w)[3].segmenter
 
         g_manual = np.zeros_like(models.segmenter)
         for feats, mask in zip(batch.feats[:n_s], batch.masks[:n_s]):
@@ -275,9 +272,9 @@ class TestPerBatchFeatures:
 
             forwarded = []
 
-            def recording(seg, feats):
+            def recording(seg, feats, *rest):
                 forwarded.append(np.array(feats))
-                return segmenter_forward(seg, feats)
+                return segmenter_forward(seg, feats, *rest)
 
             with monkeypatch.context() as patch:
                 patch.setattr(toy_pipeline, "_BLOCK_PIXELS", 2 * 8 * 8)
@@ -340,6 +337,68 @@ class TestPerBatchFeatures:
             tracemalloc.stop()
         assert len(held) == 1
         assert peak - held[0] < map_bytes
+
+
+class TestSkippedTargetRows:
+    """Without ADV, a target image whose pseudo mask is all IGNORE adds
+    nothing to any gradient: a step featurises and forwards the target
+    rows of its batch only when one of their masks holds a label."""
+
+    def steps(self, monkeypatch, cfg, data):
+        """Per step: (rows passed to the feature builder, images in the
+        batch, source images, the pooled inputs of the batch)."""
+        built, steps = [], []
+        build, step = toy_pipeline._FeatureBuilder.__call__, toy_pipeline.batch_forward
+
+        def counting_build(self, images):
+            built.append(len(images))
+            return build(self, images)
+
+        def recording_step(models, feats, masks, labels, pooled, n_s, *args, **kwargs):
+            assert len(feats) == built[-1]
+            steps.append((built[-1], len(labels), n_s, pooled.copy()))
+            return step(models, feats, masks, labels, pooled, n_s, *args, **kwargs)
+
+        monkeypatch.setattr(toy_pipeline._FeatureBuilder, "__call__", counting_build)
+        monkeypatch.setattr(toy_pipeline, "batch_forward", recording_step)
+        train(cfg, data)
+        assert len(steps) == 2 * 3  # 10 source images in batches of 4, 2 epochs
+        return steps
+
+    def data(self):
+        return gen_synthetic(SynthConfig(image_size=8, source_count=10, target_count=6, seed=1))
+
+    @pytest.mark.parametrize("use_adv", [False, True])
+    def test_all_ignore_masks(self, monkeypatch, use_adv):
+        cfg = TrainConfig(epochs=2, learning_rate=0.5, seed=1, use_pl=False, use_adv=use_adv)
+        for rows, n_img, n_s, _ in self.steps(monkeypatch, cfg, self.data()):
+            assert n_img == 2 * n_s
+            assert rows == (n_img if use_adv else n_s)
+
+    def test_a_labelled_target_mask_brings_its_batch_in(self, monkeypatch):
+        """Only target image 0 keeps its pseudo labels: exactly the
+        batches that hold it, told apart by its pooled features, forward
+        all their rows."""
+        data = self.data()
+        h = data["target"]["images"][0].shape[0]
+        label = toy_pipeline.generate
+
+        def first_image_only(probs, thr, sp):
+            out = label(probs, thr, sp)
+            assert np.any(out[:h] != IGNORE)
+            out[h:] = IGNORE  # one block holds every target image here
+            return out
+
+        monkeypatch.setattr(toy_pipeline, "generate", first_image_only)
+        cfg = TrainConfig(epochs=2, learning_rate=0.5, seed=1, use_adv=False,
+                          slic=SlicParams(n_segments=4))
+        first = toy_pipeline._pooled_features(stack_dataset(data)["target"]["images"])[0]
+        seen = set()
+        for rows, n_img, n_s, pooled in self.steps(monkeypatch, cfg, data):
+            holds_first = any(np.array_equal(row, first) for row in pooled[n_s:])
+            assert rows == (n_img if holds_first else n_s)
+            seen.add(holds_first)
+        assert seen == {False, True}
 
 
 DOMAINS = (("source", "masks"), ("target", "eval_masks"))
