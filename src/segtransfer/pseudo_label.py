@@ -6,22 +6,38 @@ everything else stays IGNORE.  Stage two fills IGNORE pixels by a
 majority vote over their 8-neighborhood, counting only neighbors that
 share the pixel's superpixel, and only when the winning vote count
 exceeds 4.  The vote reads the stage-one mask, never the partly filled
-output, so the result is independent of scan order.
-
-Both stages are per pixel within a superpixel, so images stacked into one
-tall map, with superpixel IDs offset to be distinct per image, get the
-same labels as each image alone: no vote crosses an image border.
+output, so the result is independent of scan order.  Of the superpixel
+map it reads only which neighbors share a superpixel: one byte per pixel
+(neighbour_bits), with no bit across the map's border, so the bitmaps of
+stacked images label each image as it is labelled alone.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import IGNORE, as_label_mask, as_prob_map, check_same_shape
+from .core import IGNORE, as_label_mask, as_prob_map
 from .errors import ClassMismatchError, DimensionMismatchError
 from .thresholds import ClassThresholds
 
-_NEIGHBOR_OFFSETS = [(-1, -1), (-1, 0), (-1, 1),
-                     (0, -1), (0, 1),
-                     (1, -1), (1, 0), (1, 1)]
+# the (pixel, neighbor) windows of the 8 neighbors, row by row from the top left,
+# from the pixel's and the neighbor's span along each axis, by the neighbor's offset
+_SPANS = {-1: (np.s_[1:], np.s_[:-1]), 0: (np.s_[:], np.s_[:]), 1: (np.s_[:-1], np.s_[1:])}
+_WINDOWS = [tuple(zip(_SPANS[y], _SPANS[x])) for y in (-1, 0, 1) for x in (-1, 0, 1) if y or x]
+
+# a neighbour_bits map, told by its type from an ID map, which may be uint8 too
+NeighbourBits = NamedTuple("NeighbourBits", [("bits", np.ndarray)])
+
+
+def neighbour_bits(sp) -> np.ndarray:
+    """(H, W) IDs -> uint8 whose bit j says if neighbor j of _WINDOWS is in the same superpixel."""
+    sp = np.asarray(sp)
+    if sp.ndim != 2:
+        raise DimensionMismatchError(f"superpixel map must be (H, W), got shape {sp.shape}")
+    bits = np.zeros(sp.shape, dtype=np.uint8)
+    for j, (dst, src) in enumerate(_WINDOWS):
+        bits[dst] |= (sp[src] == sp[dst]).view(np.uint8) << j
+    return bits
 
 
 def assign_initial(p, t: ClassThresholds) -> np.ndarray:
@@ -51,7 +67,7 @@ def assign_initial(p, t: ClassThresholds) -> np.ndarray:
 
 
 def refine_with_superpixels(m, sp) -> np.ndarray:
-    """Fill IGNORE pixels by same-superpixel 8-neighborhood voting.
+    """Fill IGNORE pixels by same-superpixel 8-neighborhood voting; sp: IDs or NeighbourBits.
 
     Labeled pixels are never modified.  A pixel is filled with the class
     holding the most votes (ties to the lowest index) iff that count > 4.
@@ -62,34 +78,22 @@ def refine_with_superpixels(m, sp) -> np.ndarray:
     than 4 of the 8 votes, and no fill ever meets a tie.
     """
     m = as_label_mask(m)
-    sp = np.asarray(sp)
-    if m.shape != sp.shape:
-        raise DimensionMismatchError(f"mask {m.shape} vs superpixel map {sp.shape}")
-    h, w = m.shape
+    bits = sp.bits if isinstance(sp, NeighbourBits) else neighbour_bits(sp)
+    if m.shape != bits.shape:
+        raise DimensionMismatchError(f"mask {m.shape} vs superpixel map {bits.shape}")
     out = m.copy()
-    # np.bincount, not np.unique: its first call in a process costs ~10 ms
-    classes = np.flatnonzero(np.bincount(m[m != IGNORE]))
-    if not classes.size:
-        return out
-
-    pairs = []  # (destination window, source window, neighbor shares the superpixel)
-    for dy, dx in _NEIGHBOR_OFFSETS:
-        src = np.s_[max(dy, 0):h + min(dy, 0), max(dx, 0):w + min(dx, 0)]
-        dst = np.s_[max(-dy, 0):h + min(-dy, 0), max(-dx, 0):w + min(-dx, 0)]
-        pairs.append((dst, src, sp[src] == sp[dst]))
     unlabeled = m == IGNORE
-    votes = np.empty((h, w), dtype=np.uint8)
-    for c in classes.tolist():
+    # np.bincount, not np.unique: its first call in a process costs ~10 ms
+    for c in np.flatnonzero(np.bincount(m[~unlabeled])).tolist():
         is_c = m == c
-        votes.fill(0)
-        for dst, src, same_sp in pairs:
-            votes[dst] += is_c[src] & same_sp
+        votes = np.zeros(m.shape, dtype=np.uint8)
+        for j, (dst, src) in enumerate(_WINDOWS):
+            # is_c is 0 or 1, so the AND keeps bit j alone
+            votes[dst] += is_c[src] & (bits[dst] >> j)
         out[unlabeled & (votes > 4)] = c
     return out
 
 
 def generate(p, t: ClassThresholds, sp) -> np.ndarray:
-    """Initial assignment followed by one superpixel-gated refinement pass."""
-    p = as_prob_map(p)
-    check_same_shape(p, np.asarray(sp), "probability map and superpixel map")
+    """Initial assignment, then one refinement pass with sp as in refine_with_superpixels."""
     return refine_with_superpixels(assign_initial(p, t), sp)

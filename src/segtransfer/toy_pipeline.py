@@ -59,7 +59,7 @@ from .losses import (
     discriminator_loss,
 )
 from .metrics import ConfusionMatrix, accumulate, summary
-from .pseudo_label import generate
+from .pseudo_label import NeighbourBits, generate, neighbour_bits
 from .rng import SplitMix64
 from .superpixel import SlicParams, slic
 from .thresholds import _BLOCK_PIXELS, ClassValues, CurriculumSchedule, portion_at
@@ -554,10 +554,8 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _tall_superpixels(images, params) -> np.ndarray:
-    """SLIC of each image, stacked into one tall map, with every image's
-    IDs offset past those of the images above it, so that no superpixel
-    spans two images.
+def _superpixel_bits(images, params) -> np.ndarray:
+    """The (N, H, W) uint8 neighbour_bits of each image's SLIC map.
 
     The images are split into contiguous ranges, one per CPU and at most
     one per image.  This process runs the first; each other runs in a
@@ -568,13 +566,12 @@ def _tall_superpixels(images, params) -> np.ndarray:
     """
     n = len(images)
     h, w = np.shape(images[0])[:2]
-    maps = np.frombuffer(mmap.mmap(-1, max(1, n * h * w * 4)), dtype=np.int32,
-                         count=n * h * w).reshape(n, h, w)
+    maps = np.ndarray((n, h, w), np.uint8, mmap.mmap(-1, max(1, n * h * w)))
     ranges = np.array_split(np.arange(n), max(1, min(n, _cpu_count())))
 
     def fill(r):
         for i in ranges[r]:
-            maps[i] = slic(images[i], params)
+            maps[i] = neighbour_bits(slic(images[i], params))
 
     children, failed = {}, []
     try:
@@ -603,8 +600,7 @@ def _tall_superpixels(images, params) -> np.ndarray:
                 failed.append(r)
     for r in failed:
         fill(r)
-    maps[1:] += np.cumsum(maps.max(axis=(1, 2)) + 1)[:-1, None, None]
-    return maps.reshape(n * h, w)
+    return maps
 
 
 def _scan_targets(models, target_pass, p=None, cm=None, eval_masks=None):
@@ -643,10 +639,10 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
     values of the next epoch's thresholds; with pseudo labels, each epoch
     opens with a pass that labels every block under those thresholds, the
     same weights giving the same bits, and an initial pass gathers the
-    first epoch's values.  The superpixel maps are made once, by one
-    process per CPU this one may use (see _tall_superpixels).  Blocks
-    hold whole images and no superpixel spans two, so every output equals
-    that of one pass over all target images at once.
+    first epoch's values.  The superpixel priors, a byte per pixel, are
+    made once by one process per CPU this one may use (_superpixel_bits).
+    Blocks hold whole images and no vote crosses an image's border, so
+    every output equals that of one pass over all target images at once.
     """
     data = stack_dataset(data)
     k, src, tgt = int(data["num_classes"]), data["source"], data["target"]
@@ -671,7 +667,7 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
 
     if cfg.use_pl:
         # images never change, so the spatial priors are computed once
-        sp = _tall_superpixels(tgt["images"], cfg.slic).reshape(n_tgt, h, w)
+        sp = _superpixel_bits(tgt["images"], cfg.slic)
         negative = (tgt["image_labels"] == 0)[:, None, None]
 
     bank_s = CentroidBank(num_classes=k, dim=k, gamma=cfg.gamma)
@@ -688,7 +684,7 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
             if epoch == 0:
                 thr = _scan_targets(models, target_pass, p)
             for s, probs in _target_blocks(models, *target_pass):
-                block = generate(probs, thr, sp[s].reshape(-1, w)).reshape(-1, h, w)
+                block = generate(probs, thr, NeighbourBits(sp[s].reshape(-1, w))).reshape(-1, h, w)
                 if cfg.gate_by_image_label:
                     # images labelled healthy keep no lesion pixel (IGNORE >= 1 too)
                     block[negative[s] & (block >= 1)] = IGNORE

@@ -28,6 +28,7 @@ from segtransfer.errors import (
 )
 from segtransfer.metrics import ConfusionMatrix, accumulate, summary
 from segtransfer.rng import SplitMix64
+from segtransfer.superpixel import slic
 from segtransfer.thresholds import MIN_PROB, ClassThresholds, portion_at
 from segtransfer.toy_pipeline import (
     TrainConfig,
@@ -38,7 +39,6 @@ from segtransfer.toy_pipeline import (
     _all_ignore,
     _logistic,
     _pooled_features,
-    _tall_superpixels,
     batch_forward,
     init_models,
     segmenter_forward,
@@ -49,6 +49,16 @@ from segtransfer.transfer import CentroidBank
 _NEIGHBOR_OFFSETS = [(-1, -1), (-1, 0), (-1, 1),
                      (0, -1), (0, 1),
                      (1, -1), (1, 0), (1, 1)]
+
+
+def offset_stack(sps):
+    """Stack superpixel maps into one tall map with per-image IDs made
+    distinct, so that no superpixel spans two images."""
+    out, offset = [], 0
+    for sp in sps:
+        out.append(sp + offset)
+        offset += int(sp.max()) + 1
+    return np.concatenate(out)
 
 
 def argmax_map(p) -> np.ndarray:
@@ -208,7 +218,7 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
     sp_tall = probs_t = None
     if cfg.use_pl:
         # images never change, so the spatial priors are computed once
-        sp_tall = _tall_superpixels(tgt["images"], cfg.slic)
+        sp_tall = offset_stack([slic(im, cfg.slic) for im in tgt["images"]])
         probs_t = _target_probs(models, tgt_images, tgt_pooled,
                                 cfg.refine_by_classification, features)
         if cfg.gate_by_image_label:

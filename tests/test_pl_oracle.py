@@ -17,13 +17,19 @@ import step_oracle
 from segtransfer import toy_pipeline
 from segtransfer.core import IGNORE, argmax_map, max_map
 from segtransfer.errors import DimensionMismatchError, EmptyInputError
-from segtransfer.pseudo_label import assign_initial, generate, refine_with_superpixels
+from segtransfer.pseudo_label import (
+    NeighbourBits,
+    assign_initial,
+    generate,
+    neighbour_bits,
+    refine_with_superpixels,
+)
 from segtransfer.superpixel import SlicParams, slic
 from segtransfer.thresholds import ClassThresholds, determine_lambdas
 from segtransfer.toy_pipeline import (
     SynthConfig,
     TrainConfig,
-    _tall_superpixels,
+    _superpixel_bits,
     gen_synthetic,
     train,
 )
@@ -199,26 +205,68 @@ def test_refine_probs_by_classification_matches_oracle(k, layout):
         np.testing.assert_array_equal(p, before)
 
 
-def offset_stack(sps):
-    """Stack superpixel maps into one tall map with per-image IDs made
-    distinct, as train does."""
-    out, offset = [], 0
-    for sp in sps:
-        out.append(sp + offset)
-        offset += int(sp.max()) + 1
-    return np.concatenate(out)
-
-
-def test_tall_superpixels_offsets_each_image():
+def test_superpixel_bits_of_each_image():
     data = gen_synthetic(SynthConfig(image_size=12, source_count=1, target_count=4, seed=3))
     images = data["target"]["images"]
     params = SlicParams(n_segments=9)
-    tall = _tall_superpixels(images, params)
-    blocks = tall.reshape(len(images), 12, 12)
+    bits = _superpixel_bits(images, params)
+    assert bits.dtype == np.uint8 and bits.shape == (len(images), 12, 12)
     for i, im in enumerate(images):
-        np.testing.assert_array_equal(blocks[i] - blocks[i].min(), slic(im, params))
-        if i:
-            assert blocks[i].min() == blocks[i - 1].max() + 1
+        np.testing.assert_array_equal(bits[i], neighbour_bits(slic(im, params)))
+
+
+def bits_block(sps):
+    """The NeighbourBits of stacked images' maps, as train hands a block to generate."""
+    return NeighbourBits(np.concatenate([neighbour_bits(sp) for sp in sps]))
+
+
+def superpixel_maps(rng, n, h, w):
+    """n maps of random IDs, some speckled and some in tiles, so that some
+    pixels keep most of their neighbors and others few."""
+    yy, xx = np.mgrid[:h, :w]
+    return [rng.integers(0, rng.integers(1, 5), (h, w)) if i % 2 else
+            (yy // rng.integers(2, 9)) * w + xx // rng.integers(2, 9) for i in range(n)]
+
+
+@pytest.mark.parametrize("side", [16, 32, 64])
+@pytest.mark.parametrize("ignore_frac", [0.0, 0.25, 0.5, 0.75, 0.9, 1.0])
+def test_bits_of_stacked_images_match_the_offset_tall_map(side, ignore_frac):
+    """A block spanning several images votes with the stacked per-image
+    bitmaps exactly as the oracle votes on the offset int32 tall map."""
+    rng = np.random.default_rng(side + int(100 * ignore_frac))
+    k = 3
+    for _ in range(5):
+        n = int(rng.integers(2, 6))
+        sps = superpixel_maps(rng, n, side, side)
+        tall = oracle.offset_stack(sps).astype(np.int32)
+        m = random_mask(rng, n * side, side, range(k), ignore_frac)
+        want = oracle.refine_with_superpixels(m, tall)
+        np.testing.assert_array_equal(refine_with_superpixels(m, bits_block(sps)), want)
+        p = prob_map(rng, n * side, side, k, "forward")
+        t = ClassThresholds(rng.uniform(0.0, 1.5, k))
+        np.testing.assert_array_equal(generate(p, t, bits_block(sps)), oracle.generate(p, t, tall))
+
+
+@pytest.mark.parametrize("h,w", [(1, 1), (1, 9), (9, 1), (6, 7)])
+def test_bits_on_degenerate_maps_match_the_oracle(h, w):
+    """1-pixel-wide images, one superpixel per image, and one superpixel
+    per pixel (n_segments == H*W), where no bit is set and nothing fills."""
+    rng = np.random.default_rng(h * 10 + w)
+    n = 3
+    img = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
+    own = np.arange(h * w, dtype=np.int32).reshape(h, w)
+    cases = {"one superpixel": [np.zeros((h, w), np.int32)] * n,
+             "one per pixel": [own] * n,
+             "slic at n_segments == H*W": [slic(img, SlicParams(n_segments=h * w))] * n}
+    assert not neighbour_bits(own).any()
+    for name, sps in cases.items():
+        for ignore_frac in (0.0, 0.5, 0.9, 1.0):
+            m = random_mask(rng, n * h, w, [0, 1, 2], ignore_frac)
+            got = refine_with_superpixels(m, bits_block(sps))
+            np.testing.assert_array_equal(
+                got, oracle.refine_with_superpixels(m, oracle.offset_stack(sps)), err_msg=name)
+            if name == "one per pixel":
+                np.testing.assert_array_equal(got, m)
 
 
 @pytest.mark.parametrize("use_pl", [True, False])
@@ -370,12 +418,12 @@ def test_tall_generate_equals_per_image(n, h, w, k, n_sp, ties, seed):
     t = ClassThresholds(rng.uniform(0.0, 1.5, k))
     per_image = [generate(p, t, sp) for p, sp in zip(probs, sps)]
 
-    tall = generate(np.concatenate(probs), t, offset_stack(sps))
+    tall = generate(np.concatenate(probs), t, oracle.offset_stack(sps))
     np.testing.assert_array_equal(tall, np.concatenate(per_image))
 
     order = rng.permutation(n)
     permuted = generate(np.concatenate([probs[i] for i in order]), t,
-                        offset_stack([sps[i] for i in order]))
+                        oracle.offset_stack([sps[i] for i in order]))
     np.testing.assert_array_equal(permuted.reshape(n, h, w), tall.reshape(n, h, w)[order])
     np.testing.assert_array_equal(tall, oracle.generate(np.concatenate(probs), t,
-                                                        offset_stack(sps)))
+                                                        oracle.offset_stack(sps)))

@@ -3,7 +3,13 @@ import pytest
 
 from segtransfer.core import IGNORE
 from segtransfer.errors import ClassMismatchError, DimensionMismatchError
-from segtransfer.pseudo_label import assign_initial, generate, refine_with_superpixels
+from segtransfer.pseudo_label import (
+    NeighbourBits,
+    assign_initial,
+    generate,
+    neighbour_bits,
+    refine_with_superpixels,
+)
 from segtransfer.thresholds import ClassThresholds
 
 from test_core import random_prob_map
@@ -198,3 +204,63 @@ class TestGenerate:
             sp = rng.integers(0, 8, (16, 16))
             expected = algorithm_oracle(brute_force_assign(p, lam), sp)
             np.testing.assert_array_equal(generate(p, t, sp), expected)
+
+
+class TestSuperpixelForms:
+    """refine_with_superpixels and generate take an ID map or its
+    NeighbourBits; only the type tells them apart."""
+
+    def test_neighbour_bits_in_window_order(self):
+        # bit j is neighbor j, row by row from the top left: in a 2x2
+        # superpixel, the top-left pixel shares right (4), down (6) and down-right (7)
+        np.testing.assert_array_equal(neighbour_bits(np.zeros((2, 2), dtype=np.int32)),
+                                      [[0b11010000, 0b01101000], [0b00010110, 0b00001011]])
+        np.testing.assert_array_equal(neighbour_bits([[0, 1], [0, 1]]),
+                                      [[0b01000000, 0b01000000], [0b00000010, 0b00000010]])
+
+    def center_case(self):
+        """Every pixel but the center admitted as class 1 under thresholds
+        0.8; the center, at 0.5/0.5, stays IGNORE until refined."""
+        p = np.zeros((3, 3, 2))
+        p[..., 1] = 0.9
+        p[..., 0] = 0.1
+        p[1, 1] = 0.5
+        return p, thresholds_from([0.8, 0.8])
+
+    def test_bare_uint8_map_is_read_as_ids(self):
+        """All zeros as IDs is one superpixel, so the center gets 8 votes;
+        as a bitmap it would gate every vote out."""
+        p, t = self.center_case()
+        zeros = np.zeros((3, 3), dtype=np.uint8)
+        mask = assign_initial(p, t)
+        assert mask[1, 1] == IGNORE
+        assert refine_with_superpixels(mask, zeros)[1, 1] == 1
+        assert generate(p, t, zeros)[1, 1] == 1
+        assert refine_with_superpixels(mask, NeighbourBits(zeros))[1, 1] == IGNORE
+        assert generate(p, t, NeighbourBits(zeros))[1, 1] == IGNORE
+
+    def test_ids_and_their_bits_agree(self):
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            p = random_prob_map(rng, 12, 12, 3)
+            t = ClassThresholds(rng.uniform(0, 1, 3))
+            sp = rng.integers(0, 4, (12, 12)).astype(np.uint8)
+            want = generate(p, t, sp.astype(np.int64))
+            np.testing.assert_array_equal(generate(p, t, sp), want)
+            np.testing.assert_array_equal(generate(p, t, NeighbourBits(neighbour_bits(sp))), want)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (9,), (3, 3, 1)])
+    def test_bits_of_another_shape_raise(self, shape):
+        p, t = self.center_case()
+        bits = NeighbourBits(np.zeros(shape, dtype=np.uint8))
+        with pytest.raises(DimensionMismatchError):
+            refine_with_superpixels(assign_initial(p, t), bits)
+        with pytest.raises(DimensionMismatchError):
+            generate(p, t, bits)
+
+    @pytest.mark.parametrize("shape", [(), (9,), (3, 3, 1)])
+    def test_id_map_not_2d_raises(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            neighbour_bits(np.zeros(shape, dtype=np.int32))
+        with pytest.raises(DimensionMismatchError):
+            refine_with_superpixels(np.zeros((3, 3), dtype=np.uint16), np.zeros(shape, dtype=np.int32))

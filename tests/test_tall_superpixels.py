@@ -1,6 +1,6 @@
-"""`_tall_superpixels` runs SLIC over contiguous ranges of the images, the
+"""`_superpixel_bits` runs SLIC over contiguous ranges of the images, the
 first range in this process and each other one in a forked child.  Its
-tall map must equal the serial one byte for byte for any number of
+bitmaps must equal the serial ones byte for byte for any number of
 workers; a child that fails or is killed must cost time only; an error
 must surface as in a serial run; and no child may outlive the call."""
 
@@ -13,16 +13,15 @@ import numpy as np
 import pytest
 
 from segtransfer import toy_pipeline
+from segtransfer.pseudo_label import neighbour_bits
 from segtransfer.superpixel import SlicParams, slic
 from segtransfer.toy_pipeline import (
     SynthConfig,
     TrainConfig,
-    _tall_superpixels,
+    _superpixel_bits,
     gen_synthetic,
     train,
 )
-
-from test_pl_oracle import offset_stack
 
 PARAMS = SlicParams(n_segments=9)
 
@@ -33,7 +32,7 @@ def synth(target_count, source_count=1):
 
 
 def serial_map(images):
-    return offset_stack([slic(im, PARAMS) for im in images])
+    return np.stack([neighbour_bits(slic(im, PARAMS)) for im in images])
 
 
 def assert_no_child_left():
@@ -43,13 +42,13 @@ def assert_no_child_left():
 
 @pytest.fixture()
 def workers(monkeypatch):
-    """Set the number of CPUs _tall_superpixels sees."""
+    """Set the number of CPUs _superpixel_bits sees."""
     return lambda n: monkeypatch.setattr(toy_pipeline, "_cpu_count", lambda: n)
 
 
 @pytest.fixture()
 def wrap_slic(monkeypatch):
-    """Replace the slic that _tall_superpixels calls by hook(img, params, real)."""
+    """Replace the slic that _superpixel_bits calls by hook(img, params, real)."""
     def install(hook):
         real = toy_pipeline.slic
         monkeypatch.setattr(toy_pipeline, "slic", lambda img, params: hook(img, params, real))
@@ -61,7 +60,7 @@ def wrap_slic(monkeypatch):
 def test_parallel_equals_serial(workers, count, n_workers):
     images = synth(count)["target"]["images"]
     workers(n_workers)
-    got = _tall_superpixels(images, PARAMS)
+    got = _superpixel_bits(images, PARAMS)
     want = serial_map(images)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -87,7 +86,7 @@ def test_each_range_runs_in_its_own_process(workers, wrap_slic, monkeypatch, tmp
         return real(img, params)
     wrap_slic(record)
     workers(n_workers)
-    _tall_superpixels(images, PARAMS)
+    _superpixel_bits(images, PARAMS)
 
     owner = {}
     for line in trace.read_text().splitlines():
@@ -119,7 +118,7 @@ def test_failed_child_costs_time_only(workers, wrap_slic, action, n_workers):
         return real(img, params)
     wrap_slic(fail_in_child)
     workers(n_workers)
-    assert _tall_superpixels(images, PARAMS).tobytes() == serial_map(images).tobytes()
+    assert _superpixel_bits(images, PARAMS).tobytes() == serial_map(images).tobytes()
     assert_no_child_left()
 
 
@@ -139,7 +138,7 @@ def test_failed_fork_runs_its_range_here(workers, monkeypatch, failing):
         return real_fork()
     monkeypatch.setattr(os, "fork", fork)
     workers(3)
-    assert _tall_superpixels(images, PARAMS).tobytes() == serial_map(images).tobytes()
+    assert _superpixel_bits(images, PARAMS).tobytes() == serial_map(images).tobytes()
     assert len(forks) == 2
     assert_no_child_left()
 
@@ -182,6 +181,6 @@ def test_callers_error_kills_the_children(workers, wrap_slic):
     workers(4)
     start = time.monotonic()
     with pytest.raises(RuntimeError, match="the caller's range failed"):
-        _tall_superpixels(images, PARAMS)
+        _superpixel_bits(images, PARAMS)
     assert time.monotonic() - start < 30
     assert_no_child_left()

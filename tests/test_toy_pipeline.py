@@ -318,7 +318,7 @@ class TestPerBatchFeatures:
         map_bytes = 2 * n_tgt * side * side * 8
         cfg = TrainConfig(epochs=2, learning_rate=0.5, seed=3, slic=SlicParams(n_segments=16))
         # SLIC is slow under tracemalloc: its maps are made before tracing starts
-        superpixels = toy_pipeline._tall_superpixels(data["target"]["images"], cfg.slic)
+        superpixels = toy_pipeline._superpixel_bits(data["target"]["images"], cfg.slic)
         held = []
 
         def after_setup(images, params):
@@ -327,7 +327,7 @@ class TestPerBatchFeatures:
             tracemalloc.reset_peak()
             return out
 
-        monkeypatch.setattr(toy_pipeline, "_tall_superpixels", after_setup)
+        monkeypatch.setattr(toy_pipeline, "_superpixel_bits", after_setup)
         monkeypatch.setattr(toy_pipeline, "_BLOCK_PIXELS", 4 * side * side)
         tracemalloc.start()
         try:
