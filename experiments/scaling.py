@@ -14,9 +14,10 @@ one harness run.  Every child runs alone, with one BLAS thread; CLI
 that count, which the JSON document holds too (a 1-CPU run is serial),
 and the line count of each tree's `segtransfer/*.py` files, as `wc -l`
 gives it, which the document holds as `src_lines`.
-For each child it prints the wall time and the child's own peak RSS
-(`ru_maxrss` from `wait4`, which covers the processes it forked and
-reaped); then the median of each side, call and tree; then one JSON
+For each child it prints the wall time and its peak RSS (`ru_maxrss`
+from `wait4`, which covers the processes it forked and reaped; a child
+starts from this harness's own peak, which stays small because the
+harness loads only the standard library); then the median of each side, call and tree; then one JSON
 document of all rows and medians, which --out also writes to a file.
 The data is the acceptance-c8 configuration (200 source / 100 target
 images, lr 0.5, eta 0.01, mu 0.01) at each side, with fewer epochs at
@@ -51,7 +52,8 @@ def run_child(args, src, log):
         start = time.perf_counter()
         proc = subprocess.Popen([sys.executable, "-m", "segtransfer.cli", "--quiet", *args],
                                 env=env, stdout=fh, stderr=subprocess.STDOUT)
-        # wait4 gives the peak RSS of this child alone
+        # wait4 gives the peak RSS of this child and what it reaped, but never
+        # below this process's own peak, which the child inherits at fork
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - start
     if os.waitstatus_to_exitcode(status) != 0:

@@ -94,14 +94,6 @@ def as_label_mask(m) -> np.ndarray:
     return m.astype(np.uint16, copy=False)
 
 
-def validate_label_mask(m, num_classes: int) -> None:
-    """Raise unless every non-IGNORE value is a valid class index."""
-    m = as_label_mask(m)
-    vals = m[m != IGNORE]
-    if vals.size and int(vals.max()) >= num_classes:
-        raise OutOfRangeError(f"label {int(vals.max())} >= num_classes {num_classes}")
-
-
 def check_same_shape(a, b, what="inputs") -> None:
     if a.shape[:2] != b.shape[:2]:
         raise DimensionMismatchError(f"{what} disagree: {a.shape[:2]} vs {b.shape[:2]}")

@@ -41,10 +41,6 @@ class PredHasIgnoreError(ValidationError):
     """An evaluation prediction contains the IGNORE sentinel."""
 
 
-class NotBinaryError(ValidationError):
-    """Binary-only summary fields requested for a non-binary matrix."""
-
-
 class InvalidConfigError(ValidationError):
     """A configuration document failed validation."""
 

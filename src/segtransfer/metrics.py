@@ -8,12 +8,7 @@ rather than counted as zero.
 import numpy as np
 
 from .core import IGNORE, as_label_mask
-from .errors import (
-    DimensionMismatchError,
-    NotBinaryError,
-    OutOfRangeError,
-    PredHasIgnoreError,
-)
+from .errors import DimensionMismatchError, OutOfRangeError, PredHasIgnoreError
 
 
 class ConfusionMatrix:
@@ -22,12 +17,6 @@ class ConfusionMatrix:
     def __init__(self, num_classes: int):
         self.num_classes = num_classes
         self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
-
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if other.num_classes != self.num_classes:
-            raise DimensionMismatchError("cannot merge matrices of different K")
-        self.counts += other.counts
-        return self
 
 
 def accumulate(cm: ConfusionMatrix, pred, gt) -> ConfusionMatrix:
@@ -65,7 +54,7 @@ def iou_per_class(cm: ConfusionMatrix) -> np.ndarray:
     return out
 
 
-def summary(cm: ConfusionMatrix, require_binary: bool = False) -> dict:
+def summary(cm: ConfusionMatrix) -> dict:
     """Metric summary: per-class IoU, mean IoU over defined classes, and
     for binary matrices the normal/disease split."""
     ious = iou_per_class(cm)
@@ -77,6 +66,4 @@ def summary(cm: ConfusionMatrix, require_binary: bool = False) -> dict:
     if cm.num_classes == 2:
         out["iou_n"] = out["per_class"][0]
         out["iou_d"] = out["per_class"][1]
-    elif require_binary:
-        raise NotBinaryError(f"iou_n/iou_d need K=2, matrix has K={cm.num_classes}")
     return out

@@ -83,7 +83,7 @@ def refine_with_superpixels(m, sp) -> np.ndarray:
         raise DimensionMismatchError(f"mask {m.shape} vs superpixel map {bits.shape}")
     out = m.copy()
     unlabeled = m == IGNORE
-    # np.bincount, not np.unique: its first call in a process costs ~10 ms
+    # np.bincount, not np.unique: a plain np.unique imports numpy.ma on its first call (~9 ms)
     for c in np.flatnonzero(np.bincount(m[~unlabeled])).tolist():
         is_c = m == c
         votes = np.zeros(m.shape, dtype=np.uint8)

@@ -39,6 +39,10 @@ class SlicParams:
             raise InvalidConfigError("iterations must be >= 1")
 
 
+def _bad_image(shape) -> DimensionMismatchError:
+    return DimensionMismatchError(f"image must be (H, W) or (H, W, {{1,3}}), got {shape}")
+
+
 def rgb_to_lab(img) -> np.ndarray:
     """sRGB uint8 -> CIELAB (D65).  Grayscale inputs are replicated to
     three channels first."""
@@ -46,7 +50,7 @@ def rgb_to_lab(img) -> np.ndarray:
     if img.ndim == 2:
         img = img[..., None]
     if img.ndim != 3 or img.shape[2] not in (1, 3):
-        raise DimensionMismatchError(f"image must be (H, W) or (H, W, {{1,3}}), got {img.shape}")
+        raise _bad_image(img.shape)
     if img.shape[2] == 1:
         img = np.repeat(img, 3, axis=2)
 
@@ -137,6 +141,8 @@ def slic(img, params: SlicParams = SlicParams(), return_energies: bool = False):
     quantity that descends.
     """
     img = np.asarray(img)
+    if img.ndim < 2:  # rgb_to_lab rejects it too, but only after shape[:2] is read
+        raise _bad_image(img.shape)
     h, w = img.shape[:2]
     if params.n_segments > h * w:
         raise TooManySegmentsError(f"{params.n_segments} segments requested for {h * w} pixels")

@@ -14,6 +14,7 @@ Writes are atomic (temp file + rename in the target directory).
 
 import functools
 import json
+import math
 import os
 import struct
 import tempfile
@@ -34,14 +35,8 @@ _CODE_TO_NP = {
     DTYPE_U16: np.dtype("<u2"),
     DTYPE_U8: np.dtype("u1"),
 }
-_NP_TO_CODE = {
-    "float32": DTYPE_F32,
-    "float64": DTYPE_F32,
-    "uint16": DTYPE_U16,
-    "int32": DTYPE_U16,
-    "int64": DTYPE_U16,
-    "uint8": DTYPE_U8,
-}
+# implicit inference is exact: any other dtype needs a named code, whose conversion is checked
+_NP_TO_CODE = {"float32": DTYPE_F32, "uint16": DTYPE_U16, "uint8": DTYPE_U8}
 
 
 @functools.cache
@@ -125,7 +120,8 @@ def tensor_from_bytes(data: bytes) -> np.ndarray:
         raise TensorFormatError("truncated header")
     dims = struct.unpack(f"<{ndim}I", data[7:hdr_end])
     np_dtype = _CODE_TO_NP[dtype_code]
-    expected = int(np.prod(dims)) * np_dtype.itemsize
+    # math.prod, not np.prod: four u32 dims overflow int64
+    expected = math.prod(dims) * np_dtype.itemsize
     if len(data) - hdr_end != expected:
         raise TensorFormatError(
             f"payload length {len(data) - hdr_end} != expected {expected}")

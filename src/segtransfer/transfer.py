@@ -22,14 +22,6 @@ class BatchCentroids:
     values: np.ndarray  # (K, D)
     counts: np.ndarray  # (K,)
 
-    @property
-    def num_classes(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass
 class CentroidBank:

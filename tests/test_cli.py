@@ -144,6 +144,21 @@ class TestSlicCmd:
         main(["--quiet", "slic", img, "--out", b, "--n-segments", "9"])
         assert Path(a).read_bytes() == Path(b).read_bytes()
 
+    @pytest.mark.parametrize("blob", [
+        # four dims of 2**16 and no payload: their int64 product wraps to 0
+        b"TNSR" + bytes([1, tensorio.DTYPE_U8, 4]) + (65536).to_bytes(4, "little") * 4,
+        tensorio.tensor_bytes(np.zeros(0, dtype=np.uint8)),  # a valid 1-D tensor
+    ], ids=["dims-overflow", "1-d-image"])
+    def test_malformed_image_is_exit_2(self, tmp_path, capfd, blob):
+        img = tmp_path / "img.tnsr"
+        img.write_bytes(blob)
+        out = tmp_path / "sp.tnsr"
+        capfd.readouterr()
+        assert main(["--quiet", "slic", str(img), "--out", str(out)]) == 2
+        err = capfd.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestPseudolabelCmd:
     def test_pipeline_matches_library(self, tiny_dataset, tmp_path):

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from segtransfer.core import (
-    IGNORE,
-    argmax_map,
-    max_map,
-    validate_prob_map,
-    validate_label_mask,
-)
+from segtransfer.core import argmax_map, max_map, validate_prob_map
 from segtransfer.errors import NotNormalizedError, OutOfRangeError
 
 
@@ -75,14 +69,3 @@ class TestArgmaxMax:
         p = rng.random((7, 7, 4))
         for c in (0.1, 3.0, 250.0):
             np.testing.assert_array_equal(argmax_map(p), argmax_map(c * p))
-
-
-class TestLabelMask:
-    def test_ignore_is_valid(self):
-        m = np.full((3, 3), IGNORE, dtype=np.uint16)
-        validate_label_mask(m, 2)
-
-    def test_out_of_range_label(self):
-        m = np.array([[0, 5]], dtype=np.uint16)
-        with pytest.raises(OutOfRangeError):
-            validate_label_mask(m, 2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from segtransfer.errors import TooManySegmentsError
+from segtransfer.errors import DimensionMismatchError, TooManySegmentsError
 from segtransfer.superpixel import (
     SlicParams,
     enforce_connectivity,
@@ -82,6 +82,14 @@ class TestSlic:
     def test_too_many_segments(self):
         with pytest.raises(TooManySegmentsError):
             slic(np.zeros((2, 2), dtype=np.uint8), SlicParams(n_segments=5))
+
+    @pytest.mark.parametrize("shape", [(), (0,), (5,)])
+    def test_fewer_than_two_dims_rejected(self, shape):
+        """An image of rank 0 or 1 gets rgb_to_lab's error, not a failed
+        unpacking of its shape."""
+        img = np.zeros(shape, dtype=np.uint8)
+        with pytest.raises(DimensionMismatchError, match=r"image must be \(H, W\)"):
+            slic(img, SlicParams(n_segments=1))
 
     def test_coverage_and_connectivity_on_noise_images(self):
         """Coverage and connectivity hold even on unstructured noise."""

@@ -1,5 +1,7 @@
 import os
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -82,6 +84,14 @@ class TestErrors:
         with pytest.raises(TensorFormatError):
             tensorio.tensor_bytes(np.array([-1, 2]), tensorio.DTYPE_U16)
 
+    def test_dims_whose_product_wraps_int64(self):
+        """Four dims of 2**16 hold 2**64 elements, which wraps to 0 in
+        int64: an empty payload must not pass the length check."""
+        blob = b"TNSR" + bytes([1, tensorio.DTYPE_U8, 4]) + (65536).to_bytes(4, "little") * 4
+        assert len(blob) == 23
+        with pytest.raises(TensorFormatError, match="payload length 0"):
+            tensorio.tensor_from_bytes(blob)
+
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         path = tmp_path / "a.tnsr"
         tensorio.write_tensor(path, np.zeros(3, dtype=np.uint8))
@@ -102,8 +112,15 @@ class TestNoSilentNarrowing:
 
     @pytest.mark.parametrize("value", [1e39, -3.5e38])
     def test_float32_rejects_finite_overflow(self, value):
-        with pytest.raises(TensorFormatError):
-            tensorio.tensor_bytes(np.array([1.0, value]))
+        with pytest.raises(TensorFormatError, match="overflow"):
+            tensorio.tensor_bytes(np.array([1.0, value]), tensorio.DTYPE_F32)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int32, np.int64])
+    def test_inference_names_no_code_for_wider_dtypes(self, dtype):
+        """Without a named code only float32, uint16 and uint8 are written:
+        a wider dtype is not narrowed on a guess."""
+        with pytest.raises(TensorFormatError, match="no dtype code"):
+            tensorio.tensor_bytes(np.zeros(3, dtype=dtype))
 
     def test_float32_keeps_non_finite_values(self):
         arr = np.array([np.nan, np.inf, -np.inf, 1e-50])
@@ -131,3 +148,13 @@ def test_written_files_get_the_mode_open_would_give(tmp_path, umask):
         assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == want, name
     assert (tmp_path / "d.json").read_bytes() == b'{\n  "a": 1\n}\n'
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.json", "plain", "t.tnsr"]
+
+
+def test_importing_tensorio_leaves_the_pipeline_unloaded():
+    """The package root imports no submodule, so reading or writing a
+    tensor does not pay for the training pipeline."""
+    src = os.path.dirname(os.path.dirname(tensorio.__file__))
+    code = "import sys, segtransfer.tensorio; print('segtransfer.toy_pipeline' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "False\n"
