@@ -78,18 +78,19 @@ def refine_with_superpixels(m, sp) -> np.ndarray:
     than 4 of the 8 votes, and no fill ever meets a tie.
     """
     m = as_label_mask(m)
-    bits = sp.bits if isinstance(sp, NeighbourBits) else neighbour_bits(sp)
-    if m.shape != bits.shape:
-        raise DimensionMismatchError(f"mask {m.shape} vs superpixel map {bits.shape}")
+    grid = sp.bits if isinstance(sp, NeighbourBits) else np.asarray(sp)
+    if m.shape != grid.shape:
+        raise DimensionMismatchError(f"mask {m.shape} vs superpixel map {grid.shape}")
+    same = ([(grid[dst] & (1 << j)) != 0 for j, (dst, _) in enumerate(_WINDOWS)]
+            if isinstance(sp, NeighbourBits) else [grid[src] == grid[dst] for dst, src in _WINDOWS])
     out = m.copy()
     unlabeled = m == IGNORE
     # np.bincount, not np.unique: a plain np.unique imports numpy.ma on its first call (~9 ms)
     for c in np.flatnonzero(np.bincount(m[~unlabeled])).tolist():
         is_c = m == c
         votes = np.zeros(m.shape, dtype=np.uint8)
-        for j, (dst, src) in enumerate(_WINDOWS):
-            # is_c is 0 or 1, so the AND keeps bit j alone
-            votes[dst] += is_c[src] & (bits[dst] >> j)
+        for (dst, src), shared in zip(_WINDOWS, same):
+            votes[dst] += is_c[src] & shared
         out[unlabeled & (votes > 4)] = c
     return out
 

@@ -162,7 +162,7 @@ class _FeatureBuilder:
     """
 
     def __init__(self, capacity: int, h: int, w: int, c: int):
-        self.shape = (h, w, c)
+        self.capacity, self.shape = capacity, (h, w, c)
         row = w + 1
         size = capacity * (h + 1) * row  # canvas entries of `capacity` images
         # a zero row above the first image, and slack for the corner shifts
@@ -514,15 +514,11 @@ def stack_dataset(data) -> dict:
     return out
 
 
-def _pooled_features(images) -> np.ndarray:
-    """(N, H, W, C) images -> (N, D) mean-pooled pixel features, a block at a time."""
+def _pooled_features(images, features: _FeatureBuilder) -> np.ndarray:
+    """(N, H, W, C) images -> (N, D) mean-pooled pixel features, built by `features`
+    in blocks of at most _block_images(H, W) images, and no more than it holds."""
     n, h, w, c = images.shape
-    block = _block_images(h, w)
-    # a builder of its own, freed on return: freeing a buffer of 512 KB or
-    # more raises glibc's mmap threshold, so that the target passes'
-    # temporaries then come from the heap, not fresh mmaps (sharing
-    # train's builder measured slower in CLI runs)
-    features = _FeatureBuilder(min(block, n), h, w, c)
+    block = min(_block_images(h, w), features.capacity)
     pooled = np.empty((n, 2 * c + 2))
     for i in range(0, n, block):
         feats = features(images[i:i + block])
@@ -649,13 +645,13 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
     n_src, h, w, c = src["images"].shape
     n_tgt = len(tgt["images"])
     pseudo = _all_ignore((n_tgt, h, w))
-    pooled = np.concatenate([_pooled_features(src["images"]), _pooled_features(tgt["images"])])
     # whether each target image's pseudo mask holds a label
     has_label = np.zeros(n_tgt, dtype=bool)
-    # one set of buffers serves every batch and every block of the target pass
+    # one set of buffers serves the pooled features, every batch and every target block
     cap = min(cfg.batch_size, n_src)
     n_cap = max(2 * cap, min(_block_images(h, w), n_tgt))  # images
     features, work = _FeatureBuilder(n_cap, h, w, c), _step_buffers(k, n_cap * h * w)
+    pooled = np.concatenate([_pooled_features(d["images"], features) for d in (src, tgt)])
     target_pass = (tgt["images"], pooled[n_src:], cfg.refine_by_classification, features, work)
     # each batch's inputs, source rows first, gathered into buffers of the run
     images_b = np.empty((2 * cap, h, w, c), dtype=src["images"].dtype)
@@ -787,7 +783,9 @@ def gradcheck(seed: int = 0) -> dict:
     rng = SplitMix64(seed).spawn(999)
 
     images = np.concatenate([src["images"], tgt["images"]])
-    feats = _FeatureBuilder(*images.shape)(images)
+    features = _FeatureBuilder(*images.shape)
+    pooled = _pooled_features(images, features)
+    feats = features(images)  # after the pooled features, which share its buffers
     models = init_models(feats.shape[3], k, seed + 1)
     for w in models:
         w += 0.2 * rng.normal(w.shape)
@@ -800,7 +798,7 @@ def gradcheck(seed: int = 0) -> dict:
     weights = LossWeights(eta=0.3, mu=10.0, alpha=1.0, lambda_global=0.1)
     banks = [CentroidBank(num_classes=k, dim=k, gamma=0.7, centroids=rng.normal((k, k)),
                           steps=3) for _ in range(2)]  # source, then target
-    batch = (feats, masks, labels, _pooled_features(images), GRADCHECK_IMAGES, *banks, weights)
+    batch = (feats, masks, labels, pooled, GRADCHECK_IMAGES, *banks, weights)
     grads = batch_forward(models, *batch)[3]
 
     def losses():

@@ -201,7 +201,7 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
     images = np.concatenate([src["images"], tgt["images"]])
     masks = np.concatenate([src["masks"], _all_ignore(tgt["eval_masks"].shape)])
     labels = np.concatenate([src["image_labels"], tgt["image_labels"]])
-    pooled = _pooled_features(images)
+    pooled = _pooled_features(images, _FeatureBuilder(*images.shape))
     n_img, h, w, c = images.shape
     n_tgt = len(tgt["images"])
     n_src = n_img - n_tgt

@@ -366,7 +366,8 @@ class TestTrainCmd:
         monkeypatch.setattr(cli, "_load_dataset",
                             lambda path: loaded.append(real_load(path)) or loaded[-1])
         monkeypatch.setattr(toy_pipeline, "_pooled_features",
-                            lambda images: read.append(images) or real_pool(images))
+                            lambda images, features:
+                            read.append(images) or real_pool(images, features))
         assert main(["--config", cfg, "--quiet", "train", data_dir,
                      "--out", str(tmp_path / "run")]) == 0
         (data, names), = loaded

@@ -289,6 +289,20 @@ class TestPerBatchFeatures:
             for a, b in zip(blocked.models, whole.models):
                 assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_pooled_features_in_blocks_the_builder_holds(self, channels):
+        """A builder holding 3 images, fewer than a block of _BLOCK_PIXELS
+        and not a divisor of the 11 images, pools them in blocks of 3, and
+        each image's mean is the bytes a fresh builder gives its block."""
+        n, h, w, cap = 11, 9, 7, 3
+        assert cap < toy_pipeline._block_images(h, w) and n % cap
+        images = np.random.default_rng(channels).integers(0, 256, (n, h, w, channels), np.uint8)
+        got = toy_pipeline._pooled_features(images, _FeatureBuilder(cap, h, w, channels))
+        want = [_FeatureBuilder(len(b), h, w, channels)(b).reshape(len(b), h * w, -1).mean(axis=1)
+                for b in (images[i:i + cap] for i in range(0, n, cap))]
+        assert got.shape == (n, 2 * channels + 2)
+        assert got.tobytes() == np.concatenate(want).tobytes()
+
     def test_peak_allocation_below_the_feature_array(self):
         """Training on 400 source images of 16x16 allocates, at its peak,
         less than the (N, H, W, D) float64 array of all their features."""
@@ -392,7 +406,8 @@ class TestSkippedTargetRows:
         monkeypatch.setattr(toy_pipeline, "generate", first_image_only)
         cfg = TrainConfig(epochs=2, learning_rate=0.5, seed=1, use_adv=False,
                           slic=SlicParams(n_segments=4))
-        first = toy_pipeline._pooled_features(stack_dataset(data)["target"]["images"])[0]
+        images = stack_dataset(data)["target"]["images"]
+        first = toy_pipeline._pooled_features(images, _FeatureBuilder(*images.shape))[0]
         seen = set()
         for rows, n_img, n_s, pooled in self.steps(monkeypatch, cfg, data):
             holds_first = any(np.array_equal(row, first) for row in pooled[n_s:])
