@@ -14,11 +14,13 @@ one harness run.  Every child runs alone, with one BLAS thread; CLI
 that count, which the JSON document holds too (a 1-CPU run is serial),
 and the line count of each tree's `segtransfer/*.py` files, as `wc -l`
 gives it, which the document holds as `src_lines`.
-For each child it prints the wall time and its peak RSS (`ru_maxrss`
-from `wait4`, which covers the processes it forked and reaped; a child
-starts from this harness's own peak, which stays small because the
-harness loads only the standard library); then the median of each side, call and tree; then one JSON
-document of all rows and medians, which --out also writes to a file.
+For each child it prints the wall time, its peak RSS, minor page faults
+and system time (`ru_maxrss`, `ru_minflt` and `ru_stime` from `wait4`,
+which cover the processes it forked and reaped; a child starts from this
+harness's own peak RSS, which stays small because the harness loads only
+the standard library); then the median of each side, call and tree; then
+one JSON document of all rows and medians, which --out also writes to a
+file.
 The data is the acceptance-c8 configuration (200 source / 100 target
 images, lr 0.5, eta 0.01, mu 0.01) at each side, with fewer epochs at
 the larger sides; `gen-synth` runs from the first tree.  Uses only the
@@ -45,8 +47,8 @@ THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THRE
 
 
 def run_child(args, src, log):
-    """(wall s, peak RSS MiB) of one CLI call, its output going to the file
-    log; raises if the call fails."""
+    """(wall s, peak RSS MiB, minor faults, system s) of one CLI call, its
+    output going to the file log; raises if the call fails."""
     env = {**os.environ, **THREAD_ENV, "PYTHONPATH": src}
     with open(log, "w") as fh:
         start = time.perf_counter()
@@ -59,7 +61,7 @@ def run_child(args, src, log):
     if os.waitstatus_to_exitcode(status) != 0:
         with open(log) as fh:
             raise RuntimeError(f"{' '.join(args)} failed: {fh.read().strip()[-500:]}")
-    return wall, usage.ru_maxrss / 1024.0
+    return wall, usage.ru_maxrss / 1024.0, usage.ru_minflt, usage.ru_stime
 
 
 def src_lines(src):
@@ -74,13 +76,16 @@ def src_lines(src):
 
 
 def medians(rows):
-    """The median wall time and peak RSS of each (side, call, tree)."""
+    """The median wall time, peak RSS, minor faults and system time of each
+    (side, call, tree)."""
     groups = {}
     for row in rows:
         groups.setdefault((row["side"], row["call"], row["src"]), []).append(row)
     return [{"side": side, "call": call, "src": src, "n": len(group),
              "wall_s": round(statistics.median(r["wall_s"] for r in group), 3),
-             "peak_rss_mib": round(statistics.median(r["peak_rss_mib"] for r in group), 1)}
+             "peak_rss_mib": round(statistics.median(r["peak_rss_mib"] for r in group), 1),
+             "minflt": statistics.median(r["minflt"] for r in group),
+             "sys_s": round(statistics.median(r["sys_s"] for r in group), 3)}
             for (side, call, src), group in groups.items()]
 
 
@@ -107,12 +112,13 @@ def main(argv=None):
         log = os.path.join(work, "call.log")
 
         def record(side, name, src, cli_args, repeat):
-            wall, rss = run_child(cli_args, src, log)
+            wall, rss, minflt, sys_s = run_child(cli_args, src, log)
             rows.append({"side": side, "epochs": EPOCHS[side], "call": name, "src": src,
                          "repeat": repeat, "wall_s": round(wall, 3),
-                         "peak_rss_mib": round(rss, 1)})
+                         "peak_rss_mib": round(rss, 1), "minflt": minflt,
+                         "sys_s": round(sys_s, 3)})
             print(f"{side:4d}^2  {name:9s}  wall {wall:8.2f} s  peak RSS {rss:8.1f} MiB"
-                  f"  {src}", flush=True)
+                  f"  faults {minflt:9d}  sys {sys_s:6.2f} s  {src}", flush=True)
 
         for side in args.sides:
             cfg = os.path.join(work, f"cfg{side}.json")
@@ -132,7 +138,8 @@ def main(argv=None):
     print("medians:")
     for m in summary:
         print(f"{m['side']:4d}^2  {m['call']:9s}  wall {m['wall_s']:8.2f} s  "
-              f"peak RSS {m['peak_rss_mib']:8.1f} MiB  n={m['n']}  {m['src']}")
+              f"peak RSS {m['peak_rss_mib']:8.1f} MiB  faults {m['minflt']:9.0f}  "
+              f"sys {m['sys_s']:6.2f} s  n={m['n']}  {m['src']}")
     doc = {"src": srcs, "src_lines": lines, "cpus": cpus, "repeat": args.repeat, "config": CONFIG,
            "epochs": EPOCHS, "rows": rows, "medians": summary}
     text = json.dumps(doc, indent=1)

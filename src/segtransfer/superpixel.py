@@ -12,7 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidConfigError, TooManySegmentsError
+from .errors import (
+    DimensionMismatchError,
+    InvalidConfigError,
+    OutOfRangeError,
+    TooManySegmentsError,
+)
 
 # sRGB (D65) linear RGB -> XYZ
 _RGB_TO_XYZ = np.array([
@@ -101,15 +106,9 @@ def _seed_positions(h, w, ny, nx):
 
 def _gradient_magnitude(lab):
     """Squared lab-space gradient with clamped borders."""
-    up = np.roll(lab, 1, axis=0)
-    up[0] = lab[0]
-    down = np.roll(lab, -1, axis=0)
-    down[-1] = lab[-1]
-    left = np.roll(lab, 1, axis=1)
-    left[:, 0] = lab[:, 0]
-    right = np.roll(lab, -1, axis=1)
-    right[:, -1] = lab[:, -1]
-    return ((down - up) ** 2).sum(-1) + ((right - left) ** 2).sum(-1)
+    p = np.pad(lab, ((1, 1), (1, 1), (0, 0)), mode="edge")
+    return (((p[2:, 1:-1] - p[:-2, 1:-1]) ** 2).sum(-1)
+            + ((p[1:-1, 2:] - p[1:-1, :-2]) ** 2).sum(-1))
 
 
 def _perturb_seeds(seeds, grad):
@@ -138,7 +137,8 @@ def slic(img, params: SlicParams = SlicParams(), return_energies: bool = False):
     cost, measured as the sum of squared D over all pixels with the
     centers in force during that assignment.  The squared form is the
     objective the mean-based center update minimizes, so it is the
-    quantity that descends.
+    quantity that descends.  A float image that holds a NaN or an
+    infinity raises OutOfRangeError before any work.
     """
     img = np.asarray(img)
     if img.ndim < 2:  # rgb_to_lab rejects it too, but only after shape[:2] is read
@@ -146,6 +146,8 @@ def slic(img, params: SlicParams = SlicParams(), return_energies: bool = False):
     h, w = img.shape[:2]
     if params.n_segments > h * w:
         raise TooManySegmentsError(f"{params.n_segments} segments requested for {h * w} pixels")
+    if img.dtype.kind == "f" and not np.isfinite(img).all():
+        raise OutOfRangeError("image holds a NaN or infinite value")
 
     lab = rgb_to_lab(img)
     s = np.sqrt(h * w / params.n_segments)
@@ -214,8 +216,11 @@ def _assign(chans, centers, s, m2_over_s2, dist, labels):
     center index wins, which is what visiting centers in order and
     updating on `d <= dist` gives (with symmetric seed grids it is what
     splits an even uniform image into equal quadrants).  The windows are
-    gathered as a padded (centers, wy, wx) block, chunked over centers;
-    pixels no window covers keep dist inf and label -1.
+    gathered as a padded (centers, wy, wx) block in chunks of centers,
+    which only bound memory: `dist` takes each chunk's minimum, then each
+    candidate at the new `dist` raises the label to its center.  Later
+    chunks hold higher centers, so no merge pass is needed.  Pixels no
+    window covers keep dist inf and label -1.
     """
     h, w = dist.shape
     dist, labels = dist.reshape(-1), labels.reshape(-1)  # views
@@ -247,16 +252,9 @@ def _assign(chans, centers, s, m2_over_s2, dist, labels):
         d = np.sqrt(d_lab2 + d_xy2 * m2_over_s2)[valid]
         pix = pix[valid]
         cid = np.broadcast_to(ids[sl, None, None], valid.shape)[valid]
-        # per pixel: the chunk's minimum, then the highest center reaching it
-        cmin = np.full(h * w, np.inf)
-        np.minimum.at(cmin, pix, d)
-        hit = d == cmin[pix]
-        cbest = np.full(h * w, -1, dtype=np.int32)
-        np.maximum.at(cbest, pix[hit], cid[hit])
-        # later chunks hold higher centers, so they win ties with earlier ones
-        upd = (cbest >= 0) & (cmin <= dist)
-        dist[upd] = cmin[upd]
-        labels[upd] = cbest[upd]
+        np.minimum.at(dist, pix, d)
+        hit = d == dist[pix]
+        np.maximum.at(labels, pix[hit], cid[hit])
 
 
 def _densify(labels):

@@ -1,6 +1,6 @@
-"""Reference SLIC: the original loop implementations of seed
-perturbation, per-center window assignment, flood-fill component
-labelling, boundary counting and connectivity enforcement.
+"""Reference SLIC: the original implementations of the gradient (four
+rolls), seed perturbation, per-center window assignment, flood-fill
+component labelling, boundary counting and connectivity enforcement.
 
 `segtransfer.superpixel` replaces these with vectorised versions that
 must give byte-identical maps and bit-identical energies; this module
@@ -14,11 +14,23 @@ from segtransfer.errors import TooManySegmentsError
 from segtransfer.superpixel import (
     SlicParams,
     _densify,
-    _gradient_magnitude,
     _grid_shape,
     _seed_positions,
     rgb_to_lab,
 )
+
+
+def _gradient_magnitude(lab):
+    """Squared lab-space gradient with clamped borders."""
+    up = np.roll(lab, 1, axis=0)
+    up[0] = lab[0]
+    down = np.roll(lab, -1, axis=0)
+    down[-1] = lab[-1]
+    left = np.roll(lab, 1, axis=1)
+    left[:, 0] = lab[:, 0]
+    right = np.roll(lab, -1, axis=1)
+    right[:, -1] = lab[:, -1]
+    return ((down - up) ** 2).sum(-1) + ((right - left) ** 2).sum(-1)
 
 
 def _perturb_seeds(seeds, grad):
