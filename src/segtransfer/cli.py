@@ -101,11 +101,8 @@ def load_config(path=None, overrides=None) -> dict:
     cfg.update((key, value) for key, value in (overrides or {}).items()
                if key in CONFIG_DEFAULTS and value is not None)
     # the dataclass constructors own the invariants; TrainConfig builds SlicParams too
-    try:
-        _build(SynthConfig, cfg)
-        _build(TrainConfig, cfg)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise InvalidConfigError(str(e))
+    _build(SynthConfig, cfg)
+    _build(TrainConfig, cfg)
     return cfg
 
 

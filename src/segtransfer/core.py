@@ -25,6 +25,7 @@ from .errors import (
     InvalidConfigError,
     NotNormalizedError,
     OutOfRangeError,
+    ValidationError,
 )
 
 IGNORE = 65535
@@ -55,6 +56,20 @@ def validate_prob_map(p) -> None:
     if np.any(dev > PROB_SUM_TOL):
         worst = float(sums.flat[int(np.argmax(dev))])
         raise NotNormalizedError(f"pixel sum {worst} deviates from 1 by more than {PROB_SUM_TOL}")
+
+
+def validate_label_mask(m, k, what: str) -> None:
+    """Raise unless m is an integer or bool array whose every value is
+    IGNORE or a label in [0, k); the error names m as `what`.  No
+    temporary is larger than m."""
+    m = np.asarray(m)
+    if m.dtype.kind not in "biu":
+        raise ValidationError(f"{what} has dtype {m.dtype}, not an integer one")
+    # one or two reductions clear a mask without IGNORE
+    if m.size and (m.max() >= k or m.dtype.kind == "i" and m.min() < 0):
+        bad = m[((m < 0) | (m >= k)) & (m != IGNORE)]
+        if bad.size:
+            raise OutOfRangeError(f"{what} holds {bad[0]}, neither IGNORE nor a label in [0, {k})")
 
 
 def _first_max(planes):
@@ -110,6 +125,9 @@ def cast_json_value(key, typ, value):
               or isinstance(value, float) and math.isfinite(value)
               and (typ is float or value.is_integer()))
         kind = "a finite number" if typ is float else "an integer"
-    if not ok:
-        raise InvalidConfigError(f"{key} must be {kind}, got {json.dumps(value)}")
-    return typ(value)
+    if ok:
+        try:
+            return typ(value)
+        except OverflowError:  # float() of an int past the float range
+            pass
+    raise InvalidConfigError(f"{key} must be {kind}, got {json.dumps(value)}")

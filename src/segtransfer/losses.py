@@ -5,6 +5,7 @@ probabilities are clamped to [1e-7, 1 - 1e-7] before logs so saturated
 toy models stay finite.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,9 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("eta", "mu", "alpha", "lambda_global"):
-            if getattr(self, name) < 0:
-                raise InvalidConfigError(f"{name} must be >= 0")
+            # an infinite or NaN weight would make a disabled term's 0.0 a NaN total
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise InvalidConfigError(f"{name} must be finite and >= 0")
 
 
 def _clamp(p):

@@ -32,9 +32,10 @@ A step forwards only the images that can carry a pixel gradient: the
 segmentation loss and the centroids read labelled pixels only, and only
 ADV reads every target pixel.  So with ADV off, a target image whose
 mask is all IGNORE adds exactly zero to every loss and gradient but the
-classifier's, and a step forwards its target rows only if one of their
-masks holds a label.  Leaving out only that trailing block keeps every
-sum's terms in place, so the outputs keep their bits.
+classifier's, and a run without pseudo labels holds no other: a step
+forwards its target rows if and only if ADV or pseudo labels are on.
+Leaving out only that trailing block keeps every sum's terms in place,
+so the outputs keep their bits.
 
 Gradients flow into the alignment loss only through the newest batch
 centroid (weight gamma^0 = 1); the accumulated history is a constant
@@ -49,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import IGNORE, _first_max
+from .core import IGNORE, _first_max, validate_label_mask
 from .errors import (DimensionMismatchError, EmptyInputError, InvalidConfigError,
                      OutOfRangeError)
 from .losses import (
@@ -57,6 +58,7 @@ from .losses import (
     LossWeights,
     adversarial_loss_for_segmenter,
     discriminator_loss,
+    total_loss,
 )
 from .metrics import ConfusionMatrix, accumulate, summary
 from .pseudo_label import NeighbourBits, generate, neighbour_bits
@@ -351,7 +353,7 @@ def batch_forward(models: ToyModels, feats, masks, labels, pooled, n_s: int,
     eta = weights.eta if use_adv else 0.0
     mu = weights.mu if use_srt else 0.0
     losses = {"L_C": l_c, "L_S": l_s, "L_D": l_adv, "L_SRT": l_srt, "L_disc": l_disc,
-              "total": l_c + l_s + eta * l_adv + mu * l_srt}
+              "total": total_loss(l_c, l_s, l_adv, l_srt, weights)}
 
     g_cls = (cls - labels) / image_n
     g_w1 = np.concatenate([g_cls @ pooled, [g_cls.sum()]])
@@ -485,7 +487,8 @@ def stack_dataset(data) -> dict:
     """Check a gen_synthetic-style dataset and return its schema with each
     domain stacked once along axis 0: images (N, H, W, C) (uint8 in
     practice), masks or eval masks (N, H, W) uint16 and image-level labels
-    (N,), each the integer 0 or 1.  Stacked entries pass uncopied."""
+    (N,), each the integer 0 or 1, every mask checked by validate_label_mask
+    before it is converted.  Stacked entries pass uncopied."""
     if len(data["source"]["images"]) == 0 or len(data["target"]["images"]) == 0:
         raise EmptyInputError("training needs at least one source and one target image")
     out, shape = {"num_classes": data["num_classes"]}, None
@@ -507,6 +510,8 @@ def stack_dataset(data) -> dict:
             # True, "1" and 0.5 would pass a float conversion
             if isinstance(y, bool) or not isinstance(y, (int, np.integer)) or y not in (0, 1):
                 raise OutOfRangeError(f"image-level label {y!r} is not the integer 0 or 1")
+        for i, m in enumerate(masks):
+            validate_label_mask(m, out["num_classes"], f"{domain} mask {i}")
         stack = part["images"] if isinstance(part["images"], np.ndarray) else np.stack(images)
         out[domain] = {"images": stack.reshape(n, *shape),
                        mask_key: np.asarray(masks, dtype=np.uint16),
@@ -626,27 +631,25 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
     inputs, built once, are one small array each over both domains.  No
     array holds the pixel features of all images: a step gathers its rows
     into buffers of the run and builds the batch's features from its
-    images, the target ones only if ADV is on or one of their pseudo
-    masks holds a label (see batch_forward).  Nor does any array hold every
-    target image's probability map: each pass over the target images
-    forwards them in blocks of whole images and hands each block to its
-    consumers before building the next.  The evaluation pass ending an
-    epoch feeds the confusion matrix and, but for the last epoch, the
-    values of the next epoch's thresholds; with pseudo labels, each epoch
-    opens with a pass that labels every block under those thresholds, the
-    same weights giving the same bits, and an initial pass gathers the
-    first epoch's values.  The superpixel priors, a byte per pixel, are
-    made once by one process per CPU this one may use (_superpixel_bits).
-    Blocks hold whole images and no vote crosses an image's border, so
-    every output equals that of one pass over all target images at once.
+    images, the target ones only if ADV or pseudo labels are on (see
+    batch_forward).  Nor does any array hold every target image's
+    probability map: each pass over the target images forwards them in
+    blocks of whole images and hands each block to its consumers before
+    building the next.  The evaluation pass ending an epoch feeds the
+    confusion matrix and, but for the last epoch, the values of the next
+    epoch's thresholds; with pseudo labels, each epoch opens with a pass
+    that labels every block under those thresholds, the same weights
+    giving the same bits, and an initial pass gathers the first epoch's
+    values.  The superpixel priors, a byte per pixel, are made once by one
+    process per CPU this one may use (_superpixel_bits).  Blocks hold
+    whole images and no vote crosses an image's border, so every output
+    equals that of one pass over all target images at once.
     """
     data = stack_dataset(data)
     k, src, tgt = int(data["num_classes"]), data["source"], data["target"]
     n_src, h, w, c = src["images"].shape
     n_tgt = len(tgt["images"])
     pseudo = _all_ignore((n_tgt, h, w))
-    # whether each target image's pseudo mask holds a label
-    has_label = np.zeros(n_tgt, dtype=bool)
     # one set of buffers serves the pooled features, every batch and every target block
     cap = min(cfg.batch_size, n_src)
     n_cap = max(2 * cap, min(_block_images(h, w), n_tgt))  # images
@@ -685,9 +688,7 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
                     # images labelled healthy keep no lesion pixel (IGNORE >= 1 too)
                     block[negative[s] & (block >= 1)] = IGNORE
                 pseudo[s] = block
-                labelled = (block != IGNORE).reshape(len(block), -1)
-                has_label[s] = labelled.any(axis=1)
-                n_labelled += np.count_nonzero(labelled)
+                n_labelled += np.count_nonzero(block != IGNORE)
         pl_fraction = n_labelled / float(pseudo.size)
 
         order_s = rng.shuffled(n_src)
@@ -696,12 +697,11 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
         sums = {"L_C": 0.0, "L_S": 0.0, "L_D": 0.0, "L_SRT": 0.0,
                 "L_disc": 0.0, "total": 0.0}
         n_batches = 0
-        last_lr = cfg.learning_rate
         for b0 in range(0, n_src, cfg.batch_size):
             sel_s, sel_t = order_s[b0:b0 + cfg.batch_size], order_t[b0:b0 + cfg.batch_size]
             n_s = len(sel_s)
-            # the target rows go forward only where a gradient can read them
-            n_f = 2 * n_s if cfg.use_adv or has_label[sel_t].any() else n_s
+            # with neither, every target mask is all IGNORE and carries no pixel gradient
+            n_f = 2 * n_s if cfg.use_pl or cfg.use_adv else n_s
             # mode="clip" writes straight into out, which "raise" would buffer
             np.take(src["images"], sel_s, axis=0, out=images_b[:n_s], mode="clip")
             np.take(src["masks"], sel_s, axis=0, out=masks_b[:n_s], mode="clip")
@@ -715,7 +715,6 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
                 n_s, bank_s, bank_t, cfg.weights, cfg.use_adv, cfg.use_srt, work)
 
             lr = cfg.learning_rate * cfg.lr_decay_rate ** (step // cfg.lr_decay_step)
-            last_lr = lr
             # without use_adv the discriminator's gradient is exactly zero
             models = ToyModels(*(w - lr * g for w, g in zip(models, grads)))
             step += 1
@@ -735,7 +734,7 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
             "epoch": epoch,
             "p": float(p),
             "pl_fraction": float(pl_fraction),
-            "lr": float(last_lr),
+            "lr": float(lr),  # the epoch's last; every epoch makes a step
             "miou": m["miou"],
         }
         if "iou_n" in m:

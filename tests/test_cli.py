@@ -160,6 +160,24 @@ class TestSlicCmd:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("width,code", [(65534, 0), (65535, 2)])
+    def test_segments_past_the_map_format(self, tmp_path, capfd, width, code):
+        """On a uniform 1-pixel-high image every pixel is a segment: 65534
+        segments fit the u16 map beside IGNORE, 65535 exit 2 unwritten."""
+        img = tmp_path / "flat.tnsr"
+        tensorio.write_tensor(img, np.zeros((1, width), dtype=np.uint8))
+        cfg = write_config(tmp_path / "c.json", n_segments=width, slic_iterations=1)
+        out = tmp_path / "sp.tnsr"
+        capfd.readouterr()
+        assert main(["--quiet", "--config", cfg, "slic", str(img), "--out", str(out)]) == code
+        if code:
+            assert capfd.readouterr().err == \
+                "error: 65535 segments exceed the 16-bit map format\n"
+            assert not out.exists()
+        else:
+            assert int(tensorio.read_tensor(out).max()) == 65533
+
+
 class TestPseudolabelCmd:
     def test_pipeline_matches_library(self, tiny_dataset, tmp_path):
         cfg, data_dir, _ = tiny_dataset
@@ -225,6 +243,22 @@ class TestPseudolabelCmd:
                      str(thr_path), img_path, "--out", out]) == 2
         err = capfd.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not os.path.exists(out)
+
+    def test_k_must_match_lambdas(self, tiny_dataset, tmp_path, capfd):
+        cfg, data_dir, _ = tiny_dataset
+        img_path = os.path.join(data_dir, "target", "images", "im_0000.tnsr")
+        probs_path = str(tmp_path / "p.tnsr")
+        tensorio.write_tensor(probs_path, np.full((12, 12, 2), 0.5, dtype=np.float32),
+                              tensorio.DTYPE_F32)
+        thr_path = str(tmp_path / "t.json")
+        Path(thr_path).write_text(json.dumps({"K": 3, "lambdas": [0.4, 0.4]}))
+        out = str(tmp_path / "m.tnsr")
+        capfd.readouterr()
+        assert main(["--config", cfg, "--quiet", "pseudolabel", probs_path,
+                     thr_path, img_path, "--out", out]) == 2
+        assert capfd.readouterr().err == \
+            "error: thresholds document: K does not match lambdas length\n"
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -409,6 +443,34 @@ class TestTrainCmd:
         write_float_mask(os.path.join(data_dir, sub, "im_0001.tnsr"), bad)
         self.assert_rejected(cfg, data_dir, str(tmp_path / "run"))
 
+    @pytest.mark.parametrize("epochs", ["0", "1"])
+    @pytest.mark.parametrize("code,value,message", [
+        (tensorio.DTYPE_U16, 5, "target mask 2 holds 5, neither IGNORE nor a label in [0, 2)"),
+        (tensorio.DTYPE_U8, 255,
+         "target mask 2 holds 255, neither IGNORE nor a label in [0, 2)"),
+        (tensorio.DTYPE_F32, 1.7, "a label mask must be u8 or u16, not float32"),
+    ])
+    def test_eval_mask_checked_before_any_work(self, tiny_dataset, tmp_path, capfd, monkeypatch,
+                                               epochs, code, value, message):
+        """Whatever --epochs is, a target_eval mask holding a class the
+        source masks lack, or of a float dtype, exits 2 with one line
+        naming it, before SLIC runs, and leaves no run directory."""
+        cfg, data_dir, _ = tiny_dataset
+        calls = []
+        monkeypatch.setattr(toy_pipeline, "_superpixel_bits", lambda *args: calls.append(args))
+        path = os.path.join(data_dir, "target_eval", "masks", "im_0002.tnsr")
+        gt = tensorio.read_tensor(path).astype(np.float32)
+        gt[0, 0] = value
+        tensorio.write_tensor(path, gt, code)
+        out = str(tmp_path / "run")
+        capfd.readouterr()
+        assert main(["--config", cfg, "--quiet", "train", data_dir, "--out", out,
+                     "--epochs", epochs]) == 2
+        err = capfd.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert not os.path.exists(out)
+        assert calls == []
+
     def test_byte_identical_logs(self, tiny_dataset, tmp_path):
         cfg, data_dir, _ = tiny_dataset
         out_a, out_b = str(tmp_path / "ra"), str(tmp_path / "rb")
@@ -465,6 +527,26 @@ class TestEvalCmd:
         doc = json.loads(capsys.readouterr().out.strip())
         assert doc["miou"] == pytest.approx(0.583333, abs=1e-4)
 
+    def test_differing_file_sets(self, tiny_dataset, tmp_path, capsys):
+        _, data_dir, _ = tiny_dataset
+        gt = os.path.join(data_dir, "target_eval", "masks")
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        tensorio.write_tensor(pred / "im_0000.tnsr",
+                              tensorio.read_tensor(os.path.join(gt, "im_0000.tnsr")))
+        assert main(["--quiet", "eval", str(pred), gt]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: prediction and ground-truth file sets differ\n"
+
+    def test_out_writes_the_printed_line(self, tiny_dataset, tmp_path, capsys):
+        _, data_dir, _ = tiny_dataset
+        gt = os.path.join(data_dir, "target_eval", "masks")
+        out = tmp_path / "miou.json"
+        assert main(["--quiet", "eval", gt, gt, "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert out.read_text() == printed
+        assert json.loads(printed)["miou"] == 1.0
+
     def test_empty_dirs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         a.mkdir()
@@ -489,3 +571,11 @@ class TestGradcheckCmd:
     def test_deterministic_per_seed(self):
         from segtransfer.toy_pipeline import gradcheck
         assert gradcheck(3) == gradcheck(3)
+
+    def test_failure_is_exit_4(self, monkeypatch, capsys):
+        report = {"classifier": 1e-9, "segmenter": 2e-3, "discriminator": 1e-9, "max": 2e-3}
+        monkeypatch.setattr(cli, "gradcheck", lambda *seed: report)
+        assert main(["--quiet", "gradcheck"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "numeric failure: gradient check failed: max relative error 2.000e-03\n"

@@ -200,3 +200,58 @@ class TestNoSilentCasts:
         tcfg = _build(TrainConfig, load_config(cfg))
         assert tcfg.epochs == 2 and type(tcfg.epochs) is int
         assert main(["--quiet", "--config", cfg, "gen-synth", str(tmp_path / "d")]) == 0
+
+    @pytest.mark.parametrize("key,value", [("learning_rate", 10 ** 400), ("eta", -10 ** 400)])
+    def test_float_past_float_range(self, tmp_path, capsys, key, value):
+        """A JSON integer too large for a float names its key, where it
+        once exited with Python's "int too large to convert to float"."""
+        cfg = write_config(tmp_path / "c.json", **{key: value})
+        assert main(["--quiet", "--config", cfg, "gen-synth", str(tmp_path / "d")]) == 2
+        assert not os.path.exists(tmp_path / "d")
+        assert capsys.readouterr().err == f"error: {key} must be a finite number, got {value}\n"
+
+    @pytest.mark.parametrize("text", ["[1]", "3", '"epochs"', "null"])
+    def test_config_must_be_an_object(self, tmp_path, capsys, text):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        assert main(["--quiet", "--config", str(cfg), "gen-synth", str(tmp_path / "d")]) == 2
+        assert not os.path.exists(tmp_path / "d")
+        assert capsys.readouterr().err == "error: config must be a flat JSON object\n"
+
+
+# one value per invariant that a config dataclass checks, and its message
+INVARIANTS = [
+    ({"image_size": 7}, "image_size must be >= 8"),
+    ({"source_count": 0}, "domain counts must be >= 1"),
+    ({"target_count": 0}, "domain counts must be >= 1"),
+    ({"num_classes": 1}, "num_classes must be >= 2"),
+    ({"epochs": -1}, "epochs must be >= 0 and batch_size >= 1"),
+    ({"batch_size": 0}, "epochs must be >= 0 and batch_size >= 1"),
+    ({"learning_rate": -0.1}, "learning_rate must be >= 0 and lr_decay_step >= 1"),
+    ({"lr_decay_step": 0}, "learning_rate must be >= 0 and lr_decay_step >= 1"),
+    ({"lr_decay_rate": 0.0}, "lr_decay_rate must be in (0, 1]"),
+    ({"lr_decay_rate": 1.5}, "lr_decay_rate must be in (0, 1]"),
+    ({"gamma": 1.0}, "gamma must be in [0, 1)"),
+    ({"gamma": -0.1}, "gamma must be in [0, 1)"),
+    ({"n_segments": 0}, "n_segments must be >= 1"),
+    ({"compactness": 0.0}, "compactness must be > 0"),
+    ({"slic_iterations": 0}, "iterations must be >= 1"),
+    ({"eta": -1.0}, "eta must be finite and >= 0"),
+    ({"mu": -1.0}, "mu must be finite and >= 0"),
+    ({"alpha": -1.0}, "alpha must be finite and >= 0"),
+    ({"lambda_global": -1.0}, "lambda_global must be finite and >= 0"),
+    ({"p_step": -0.05}, "schedule step must be >= 0"),
+    ({"p0": 0.0}, "schedule requires 0 < p0 <= p_max <= 1"),
+]
+
+
+@pytest.mark.parametrize("doc,message", INVARIANTS, ids=[str(d) for d, _ in INVARIANTS])
+def test_config_invariants_exit_2_unwritten(tmp_path, capsys, doc, message):
+    """Every invariant of SynthConfig, TrainConfig, SlicParams,
+    LossWeights and CurriculumSchedule is checked when the config loads:
+    exit 2 with one error line, and no output written."""
+    cfg = write_config(tmp_path / "c.json", **doc)
+    out = tmp_path / "d"
+    assert main(["--quiet", "--config", cfg, "gen-synth", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from segtransfer.core import argmax_map, max_map, validate_prob_map
-from segtransfer.errors import NotNormalizedError, OutOfRangeError
+from segtransfer.core import argmax_map, as_label_mask, as_prob_map, max_map, validate_prob_map
+from segtransfer.errors import DimensionMismatchError, NotNormalizedError, OutOfRangeError
 
 
 def random_prob_map(rng, h, w, k):
@@ -69,3 +69,15 @@ class TestArgmaxMax:
         p = rng.random((7, 7, 4))
         for c in (0.1, 3.0, 250.0):
             np.testing.assert_array_equal(argmax_map(p), argmax_map(c * p))
+
+
+class TestShapes:
+    @pytest.mark.parametrize("shape", [(4, 4), (1, 4, 4, 2)])
+    def test_prob_map_must_be_3d(self, shape):
+        with pytest.raises(DimensionMismatchError, match="probability map must be"):
+            as_prob_map(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 4, 1)])
+    def test_label_mask_must_be_2d(self, shape):
+        with pytest.raises(DimensionMismatchError, match="label mask must be"):
+            as_label_mask(np.zeros(shape, dtype=np.uint16))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from segtransfer.core import IGNORE
+from segtransfer.errors import InvalidConfigError
 from segtransfer.losses import (
     LossWeights,
     adversarial_loss_for_segmenter,
@@ -169,3 +170,11 @@ class TestTotalLoss:
     def test_zero_weights_reduce(self):
         w = LossWeights(eta=0.0, mu=0.0)
         assert total_loss(1.5, 2.5, 99, 99, w) == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("name", ["eta", "mu", "alpha", "lambda_global"])
+    @pytest.mark.parametrize("value", [-1.0, float("inf"), float("nan")])
+    def test_weights_finite_and_non_negative(self, name, value):
+        """A disabled term adds weight * 0.0 to the total: exactly +0.0 for
+        a finite weight, NaN for an infinite one."""
+        with pytest.raises(InvalidConfigError, match=f"{name} must be finite and >= 0"):
+            LossWeights(**{name: value})

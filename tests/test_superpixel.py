@@ -55,6 +55,12 @@ class TestRgbToLab:
         np.testing.assert_allclose(rgb_to_lab(g), rgb_to_lab(rgb))
 
 
+    @pytest.mark.parametrize("shape", [(4, 4, 2), (4, 4, 4), (2, 4, 4, 3)])
+    def test_channels_must_be_1_or_3(self, shape):
+        with pytest.raises(DimensionMismatchError, match=r"image must be \(H, W\)"):
+            rgb_to_lab(np.zeros(shape, dtype=np.uint8))
+
+
 class TestSlic:
     def test_single_segment(self):
         rng = np.random.default_rng(0)

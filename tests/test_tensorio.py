@@ -99,6 +99,34 @@ class TestErrors:
         assert leftovers == []
 
 
+    @pytest.mark.parametrize("arr,code,message", [
+        (np.zeros(2, dtype=np.uint8), 9, "unknown dtype code 9"),
+        (np.zeros((), dtype=np.uint8), None, "ndim must be 1..4, got 0"),
+        (np.zeros((1,) * 5, dtype=np.uint8), None, "ndim must be 1..4, got 5"),
+    ])
+    def test_write_rejects_bad_code_and_ndim(self, arr, code, message):
+        with pytest.raises(TensorFormatError, match=message.replace(".", r"\.")):
+            tensorio.tensor_bytes(arr, code)
+
+    @pytest.mark.parametrize("code,ndim,message", [
+        (9, 1, "unknown dtype code 9"),
+        (tensorio.DTYPE_U8, 0, "bad ndim 0"),
+        (tensorio.DTYPE_U8, 5, "bad ndim 5"),
+    ])
+    def test_read_rejects_bad_code_and_ndim(self, code, ndim, message):
+        blob = b"TNSR" + bytes([1, code, ndim]) + (1).to_bytes(4, "little") * ndim + b"\0"
+        with pytest.raises(TensorFormatError, match=message):
+            tensorio.tensor_from_bytes(blob)
+
+    def test_failed_write_leaves_no_temp_and_the_old_file(self, tmp_path):
+        path = tmp_path / "a.bin"
+        path.write_bytes(b"old")
+        with pytest.raises(TypeError):
+            tensorio.atomic_write_bytes(path, "not bytes")
+        assert [p.name for p in tmp_path.iterdir()] == ["a.bin"]
+        assert path.read_bytes() == b"old"
+
+
 class TestNoSilentNarrowing:
     @pytest.mark.parametrize("value", [np.nan, 1.5, -0.25, np.inf])
     @pytest.mark.parametrize("code", [tensorio.DTYPE_U16, tensorio.DTYPE_U8])

@@ -7,7 +7,7 @@ import pytest
 
 from segtransfer import toy_pipeline
 from segtransfer.core import IGNORE, validate_prob_map
-from segtransfer.errors import DimensionMismatchError, OutOfRangeError
+from segtransfer.errors import DimensionMismatchError, OutOfRangeError, ValidationError
 from segtransfer.losses import LossWeights
 from segtransfer.superpixel import SlicParams
 from segtransfer.toy_pipeline import (
@@ -72,6 +72,11 @@ class TestSegmenterForward:
         shifted = models._replace(segmenter=models.segmenter + 3.7)  # same shift every logit
         np.testing.assert_allclose(
             segmenter_forward(shifted.segmenter, f), probs, atol=1e-12)
+
+    def test_wrong_feature_dim(self):
+        seg = np.zeros((5, 2))  # weights for D = 4
+        with pytest.raises(DimensionMismatchError, match="feature dim 3"):
+            segmenter_forward(seg, np.zeros((2, 2, 3)))
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(2)
@@ -356,11 +361,11 @@ class TestPerBatchFeatures:
 class TestSkippedTargetRows:
     """Without ADV, a target image whose pseudo mask is all IGNORE adds
     nothing to any gradient: a step featurises and forwards the target
-    rows of its batch only when one of their masks holds a label."""
+    rows of its batch if and only if ADV or pseudo labels are on."""
 
     def steps(self, monkeypatch, cfg, data):
         """Per step: (rows passed to the feature builder, images in the
-        batch, source images, the pooled inputs of the batch)."""
+        batch, source images)."""
         built, steps = [], []
         build, step = toy_pipeline._FeatureBuilder.__call__, toy_pipeline.batch_forward
 
@@ -370,7 +375,7 @@ class TestSkippedTargetRows:
 
         def recording_step(models, feats, masks, labels, pooled, n_s, *args, **kwargs):
             assert len(feats) == built[-1]
-            steps.append((built[-1], len(labels), n_s, pooled.copy()))
+            steps.append((built[-1], len(labels), n_s))
             return step(models, feats, masks, labels, pooled, n_s, *args, **kwargs)
 
         monkeypatch.setattr(toy_pipeline._FeatureBuilder, "__call__", counting_build)
@@ -385,35 +390,20 @@ class TestSkippedTargetRows:
     @pytest.mark.parametrize("use_adv", [False, True])
     def test_all_ignore_masks(self, monkeypatch, use_adv):
         cfg = TrainConfig(epochs=2, learning_rate=0.5, seed=1, use_pl=False, use_adv=use_adv)
-        for rows, n_img, n_s, _ in self.steps(monkeypatch, cfg, self.data()):
+        for rows, n_img, n_s in self.steps(monkeypatch, cfg, self.data()):
             assert n_img == 2 * n_s
             assert rows == (n_img if use_adv else n_s)
 
-    def test_a_labelled_target_mask_brings_its_batch_in(self, monkeypatch):
-        """Only target image 0 keeps its pseudo labels: exactly the
-        batches that hold it, told apart by its pooled features, forward
-        all their rows."""
-        data = self.data()
-        h = data["target"]["images"][0].shape[0]
-        label = toy_pipeline.generate
-
-        def first_image_only(probs, thr, sp):
-            out = label(probs, thr, sp)
-            assert np.any(out[:h] != IGNORE)
-            out[h:] = IGNORE  # one block holds every target image here
-            return out
-
-        monkeypatch.setattr(toy_pipeline, "generate", first_image_only)
+    def test_pseudo_labels_bring_every_batch_in(self, monkeypatch):
+        """The rule is the run's: with pseudo labels on and ADV off, every
+        step forwards all its rows, even when every pseudo mask is all
+        IGNORE."""
+        monkeypatch.setattr(toy_pipeline, "generate",
+                            lambda probs, thr, sp: np.full(probs.shape[:2], IGNORE, np.uint16))
         cfg = TrainConfig(epochs=2, learning_rate=0.5, seed=1, use_adv=False,
                           slic=SlicParams(n_segments=4))
-        images = stack_dataset(data)["target"]["images"]
-        first = toy_pipeline._pooled_features(images, _FeatureBuilder(*images.shape))[0]
-        seen = set()
-        for rows, n_img, n_s, pooled in self.steps(monkeypatch, cfg, data):
-            holds_first = any(np.array_equal(row, first) for row in pooled[n_s:])
-            assert rows == (n_img if holds_first else n_s)
-            seen.add(holds_first)
-        assert seen == {False, True}
+        for rows, n_img, n_s in self.steps(monkeypatch, cfg, self.data()):
+            assert rows == n_img == 2 * n_s
 
 
 DOMAINS = (("source", "masks"), ("target", "eval_masks"))
@@ -534,3 +524,56 @@ class TestStackDataset:
         monkeypatch.setattr(toy_pipeline, "batch_forward", first_step)
         train(TrainConfig(epochs=1, slic=SlicParams(n_segments=9)), data)
         assert alive == [[False] * len(refs)]
+
+
+def widened(mask, dtype, value):
+    """A copy of mask as dtype, with `value` at its first pixel."""
+    out = np.array(mask, dtype=dtype)
+    out[0, 0] = value
+    return out
+
+
+class TestMaskLabels:
+    """stack_dataset, train's one gate, checks every mask before any work:
+    an integer or bool array of IGNORE and labels in [0, K), or an error
+    that names the domain and the image.  A wider mask is never narrowed
+    into range (-1 into IGNORE, 65536 into class 0, 1.7 into class 1)."""
+
+    @pytest.mark.parametrize("epochs", [0, 1])
+    @pytest.mark.parametrize("domain,key,i,dtype,value,error,message", [
+        ("target", "eval_masks", 1, np.uint16, 5, OutOfRangeError, "target mask 1 holds 5,"),
+        ("source", "masks", 2, np.uint16, 7, OutOfRangeError, "source mask 2 holds 7,"),
+        ("source", "masks", 3, np.int64, -1, OutOfRangeError, "source mask 3 holds -1,"),
+        ("target", "eval_masks", 0, np.int64, 65536, OutOfRangeError,
+         "target mask 0 holds 65536,"),
+        ("source", "masks", 1, np.float64, 1.7, ValidationError,
+         "source mask 1 has dtype float64"),
+    ])
+    def test_rejected_before_any_work(self, monkeypatch, epochs, domain, key, i, dtype, value,
+                                      error, message):
+        data = gen_synthetic(SynthConfig(image_size=8, source_count=4, target_count=3, seed=1))
+        data[domain][key][i] = widened(data[domain][key][i], dtype, value)
+        calls = []
+        real = toy_pipeline._superpixel_bits
+        monkeypatch.setattr(toy_pipeline, "_superpixel_bits",
+                            lambda *args: calls.append(args) or real(*args))
+        cfg = TrainConfig(epochs=epochs, seed=1, slic=SlicParams(n_segments=4))
+        with pytest.raises(error, match=message):
+            train(cfg, data)
+        assert calls == []
+
+    def test_wide_and_bool_masks_train_as_uint16(self):
+        """Integer and bool masks whose values are labels or IGNORE give
+        the bytes of the same masks as uint16."""
+        data = gen_synthetic(SynthConfig(image_size=8, source_count=4, target_count=3, seed=1))
+        wide = gen_synthetic(SynthConfig(image_size=8, source_count=4, target_count=3, seed=1))
+        data["source"]["masks"][0] = widened(data["source"]["masks"][0], np.uint16, IGNORE)
+        wide["source"]["masks"] = [widened(m, np.int64, IGNORE) if j == 0 else m.astype(np.int8)
+                                   for j, m in enumerate(wide["source"]["masks"])]
+        wide["target"]["eval_masks"] = [m.astype(bool) for m in wide["target"]["eval_masks"]]
+        cfg = TrainConfig(epochs=2, learning_rate=0.5, seed=1, slic=SlicParams(n_segments=4))
+        a, b = train(cfg, data), train(cfg, wide)
+        assert a.log == b.log
+        assert a.pseudo_masks.tobytes() == b.pseudo_masks.tobytes()
+        for x, y in zip(a.models, b.models):
+            assert x.tobytes() == y.tobytes()

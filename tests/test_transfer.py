@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from segtransfer.core import IGNORE
-from segtransfer.errors import DimensionMismatchError
+from segtransfer.errors import DimensionMismatchError, InvalidConfigError
 from segtransfer.transfer import (
     BatchCentroids,
     CentroidBank,
@@ -141,3 +141,25 @@ class TestSrtLoss:
                 fd[idx] = (l_hi - l_lo) / (2 * step)
             rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-6)
             assert rel.max() < 1e-4
+
+
+class TestShapeAndRangeChecks:
+    @pytest.mark.parametrize("gamma", [1.0, -0.1])
+    def test_bank_gamma_in_range(self, gamma):
+        with pytest.raises(InvalidConfigError, match="gamma must be in"):
+            CentroidBank(num_classes=2, dim=2, gamma=gamma)
+
+    def test_bank_centroids_match_their_shape(self):
+        with pytest.raises(DimensionMismatchError, match=r"centroids shape \(2, 3\)"):
+            CentroidBank(num_classes=2, dim=2, gamma=0.5, centroids=np.zeros((2, 3)))
+
+    def test_update_needs_the_bank_shape(self):
+        bank = CentroidBank(num_classes=2, dim=2, gamma=0.5)
+        with pytest.raises(DimensionMismatchError, match="batch centroids"):
+            update_bank(bank, BatchCentroids(np.zeros((3, 2)), np.zeros(3)))
+
+    def test_srt_needs_banks_of_one_shape(self):
+        a = CentroidBank(num_classes=2, dim=2, gamma=0.5)
+        b = CentroidBank(num_classes=2, dim=3, gamma=0.5)
+        with pytest.raises(DimensionMismatchError, match="banks disagree"):
+            srt_loss(a, b, 1.0)
