@@ -7,8 +7,8 @@ rather than counted as zero.
 
 import numpy as np
 
-from .core import IGNORE, as_label_mask
-from .errors import DimensionMismatchError, OutOfRangeError, PredHasIgnoreError
+from .core import IGNORE, as_label_mask, validate_label_mask
+from .errors import DimensionMismatchError, PredHasIgnoreError
 
 
 class ConfusionMatrix:
@@ -29,12 +29,11 @@ def accumulate(cm: ConfusionMatrix, pred, gt) -> ConfusionMatrix:
         raise DimensionMismatchError(f"pred {pred.shape} vs gt {gt.shape}")
     if np.any(pred == IGNORE):
         raise PredHasIgnoreError("prediction contains IGNORE pixels")
+    k = cm.num_classes
+    validate_label_mask(pred, k, "prediction")
+    validate_label_mask(gt, k, "ground truth")
     valid = gt != IGNORE
     codes = gt[valid].astype(np.int64)
-    k = cm.num_classes
-    for what, labels in (("prediction", pred), ("ground-truth", codes)):
-        if labels.size and int(labels.max()) >= k:
-            raise OutOfRangeError(f"{what} label {int(labels.max())} >= num_classes {k}")
     # gt * k + pred, in place: one call may cover a whole target set
     codes *= k
     codes += pred[valid]

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import IGNORE, as_label_mask, as_prob_map
+from .core import IGNORE, _first_max, as_label_mask, as_prob_map
 from .errors import ClassMismatchError, DimensionMismatchError
 from .thresholds import ClassThresholds
 
@@ -50,19 +50,9 @@ def assign_initial(p, t: ClassThresholds) -> np.ndarray:
     if p.shape[2] != t.num_classes:
         raise ClassMismatchError(f"map has K={p.shape[2]}, thresholds have K={t.num_classes}")
     planes = np.moveaxis(p, -1, 0)
-    thr = t.thresholds
-    best = planes[0] / thr[0]
-    selected = planes[0] > thr[0]
-    mask = np.zeros(best.shape, dtype=np.uint16)
-    for k in range(1, t.num_classes):
-        ratio = planes[k] / thr[k]
-        better = ratio > best
-        np.copyto(mask, k, where=better)
-        np.copyto(selected, planes[k] > thr[k], where=better)
-        np.maximum(best, ratio, out=best)
-    # a NaN ratio wins the argmax, and a NaN probability admits nothing
-    selected &= ~np.isnan(best)
-    mask[~selected] = IGNORE
+    # every t = exp(-lambda) is in [0, 1], so p / t > 1 iff p > t; a NaN ratio fails it
+    mask, best = _first_max(planes / t.thresholds[:, None, None])
+    mask[~(best > 1.0)] = IGNORE
     return mask
 
 
@@ -78,11 +68,10 @@ def refine_with_superpixels(m, sp) -> np.ndarray:
     than 4 of the 8 votes, and no fill ever meets a tie.
     """
     m = as_label_mask(m)
-    grid = sp.bits if isinstance(sp, NeighbourBits) else np.asarray(sp)
-    if m.shape != grid.shape:
-        raise DimensionMismatchError(f"mask {m.shape} vs superpixel map {grid.shape}")
-    same = ([(grid[dst] & (1 << j)) != 0 for j, (dst, _) in enumerate(_WINDOWS)]
-            if isinstance(sp, NeighbourBits) else [grid[src] == grid[dst] for dst, src in _WINDOWS])
+    bits = sp.bits if isinstance(sp, NeighbourBits) else neighbour_bits(sp)
+    if m.shape != bits.shape:
+        raise DimensionMismatchError(f"mask {m.shape} vs superpixel map {bits.shape}")
+    same = [(bits[dst] & (1 << j)) != 0 for j, (dst, _) in enumerate(_WINDOWS)]
     out = m.copy()
     unlabeled = m == IGNORE
     # np.bincount, not np.unique: a plain np.unique imports numpy.ma on its first call (~9 ms)

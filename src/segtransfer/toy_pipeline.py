@@ -664,10 +664,11 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
     models = init_models(pooled.shape[1], k, cfg.seed)
     rng = SplitMix64(cfg.seed).spawn(100)
 
-    if cfg.use_pl:
+    if cfg.use_pl and cfg.epochs:
         # images never change, so the spatial priors are computed once
         sp = _superpixel_bits(tgt["images"], cfg.slic)
         negative = (tgt["image_labels"] == 0)[:, None, None]
+        thr = _scan_targets(models, target_pass, portion_at(cfg.schedule, 0))
 
     bank_s = CentroidBank(num_classes=k, dim=k, gamma=cfg.gamma)
     bank_t = CentroidBank(num_classes=k, dim=k, gamma=cfg.gamma)
@@ -680,8 +681,6 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
 
         n_labelled = 0
         if cfg.use_pl:
-            if epoch == 0:
-                thr = _scan_targets(models, target_pass, p)
             for s, probs in _target_blocks(models, *target_pass):
                 block = generate(probs, thr, NeighbourBits(sp[s].reshape(-1, w))).reshape(-1, h, w)
                 if cfg.gate_by_image_label:

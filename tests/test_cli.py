@@ -300,6 +300,21 @@ class TestTrainCmd:
         csv_lines = Path(out, "log.csv").read_text().splitlines()
         assert len(csv_lines) == 1 and csv_lines[0].startswith("epoch,")
 
+    def test_zero_epochs_on_images_too_small_for_slic(self, tmp_path):
+        """8x8 images hold fewer pixels than the default 100 segments, yet
+        a run with 0 epochs never runs SLIC: it exits 0 and writes one
+        all-IGNORE pseudo mask per target image."""
+        cfg = write_config(tmp_path / "cfg.json", image_size=8, source_count=4,
+                           target_count=3, seed=1)
+        data_dir, out = str(tmp_path / "data"), tmp_path / "run"
+        assert main(["--config", cfg, "--quiet", "gen-synth", data_dir]) == 0
+        assert main(["--config", cfg, "--quiet", "train", data_dir, "--out", str(out),
+                     "--epochs", "0"]) == 0
+        names = sorted(os.listdir(out / "pseudo_labels"))
+        assert len(names) == 3
+        for name in names:
+            assert (tensorio.read_tensor(str(out / "pseudo_labels" / name)) == IGNORE).all()
+
     def test_training_outputs(self, tiny_dataset, tmp_path):
         cfg, data_dir, _ = tiny_dataset
         out = str(tmp_path / "run1")

@@ -34,8 +34,8 @@ REFINE_GATE = {"refine_by_classification": True, "gate_by_image_label": True}
 TRAIN_RUNS = {
     "train full": ("data", {}, []),
     "train bl": ("data", {}, ["--no-pl", "--no-srt", "--no-adv"]),
-    # pseudo labels and SRT without ADV: a step forwards its target rows only
-    # if one of their masks holds a label, as here every one does
+    # pseudo labels and SRT without ADV: target rows are forwarded iff PL or
+    # ADV is on, decided once per run, so every step here forwards them
     "train no-adv": ("data", {}, ["--no-adv"]),
     "train refine+gate": ("data", REFINE_GATE, []),
     "blocked train full": ("blocked", {}, []),

@@ -84,7 +84,8 @@ class TestAccumulate:
             if where == "pred_under_gt_ignore":
                 gt[1, 1] = IGNORE
         cm = ConfusionMatrix(2)
-        with pytest.raises(OutOfRangeError):
+        side = "ground truth" if where == "gt" else "prediction"
+        with pytest.raises(OutOfRangeError, match=f"^{side} holds "):
             accumulate(cm, pred, gt)
         assert cm.counts.sum() == 0
 

@@ -115,6 +115,26 @@ def test_assign_initial_class_never_predicted():
     assert not np.any(got == 2)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("lam", [0.7, 740.0, 800.0])  # t normal, subnormal and 0
+def test_assign_initial_at_the_threshold(k, lam):
+    """Class w, holding p at 0, prev(t), t, next(t) or NaN against its
+    threshold t, is kept iff p > t; every other class holds 0.1 under
+    exp(-0.7), a ratio of 0.2, so it is never kept."""
+    for w in range(k):
+        lambdas = np.full(k, 0.7)
+        lambdas[w] = lam
+        t = ClassThresholds(lambdas)
+        tw = t.thresholds[w]
+        values = np.array([0.0, np.nextafter(tw, -1.0), tw, np.nextafter(tw, 2.0), np.nan])
+        p = np.full((len(values), 1, k), 0.1)
+        p[:, 0, w] = values
+        with np.errstate(all="ignore"):
+            got, want = assign_initial(p, t), oracle.assign_initial(p, t)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got[:, 0], np.where(values > tw, w, IGNORE))
+
+
 @pytest.mark.parametrize("classes", [[0, 1], [0, 1, 2], [0, 3, 7], [5]])
 @pytest.mark.parametrize("ignore_frac", [0.0, 0.4, 0.7, 1.0])
 def test_refine_matches_oracle(classes, ignore_frac):

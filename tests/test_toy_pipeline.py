@@ -177,11 +177,18 @@ class TestTrain:
                                          target_count=6, seed=seed,
                                          shift_brightness=shift))
 
-    def test_zero_epochs(self):
+    def test_zero_epochs(self, monkeypatch):
+        """A run with no epoch makes no superpixel map, and its pseudo
+        labels stay all IGNORE."""
+        def refuse(*args):
+            raise AssertionError("_superpixel_bits ran for a run with 0 epochs")
+
+        monkeypatch.setattr(toy_pipeline, "_superpixel_bits", refuse)
         data = self.small_data()
         cfg = TrainConfig(epochs=0, seed=0)
         res = train(cfg, data)
         assert res.log == []
+        assert (res.pseudo_masks == IGNORE).all()
         init = init_models(pixel_features(data["source"]["images"][0]).shape[2], 2, 0)
         np.testing.assert_array_equal(res.models.segmenter, init.segmenter)
 
