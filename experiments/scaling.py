@@ -39,7 +39,7 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DEFAULT_SRC = os.path.join(os.path.dirname(HERE), "src")
-EPOCHS = {32: 15, 64: 3, 128: 3, 256: 1}  # side -> training epochs
+EPOCHS = {32: 15, 64: 3, 128: 3, 256: 1, 512: 1}  # side -> training epochs
 CONFIG = {"source_count": 200, "target_count": 100, "learning_rate": 0.5,
           "eta": 0.01, "mu": 0.01, "seed": 0}
 VARIANTS = {"Full": [], "BL": ["--no-pl", "--no-srt", "--no-adv"]}

@@ -21,6 +21,7 @@ import numpy as np
 from . import tensorio
 from .core import IGNORE, cast_json_value, validate_prob_map
 from .errors import (
+    DimensionMismatchError,
     InvalidConfigError,
     MissingFilesError,
     NumericCheckError,
@@ -234,11 +235,24 @@ def _load_dataset(data_dir):
                 raise ValidationError(f"{domain}/labels.json: {name!r} is not a plain file name")
     data = {}
     for domain, (image_dir, mask_dir, mask_key) in DATASET_LAYOUT.items():
-        data[domain] = {"images": [], mask_key: [], "image_labels": docs[domain]["image_labels"]}
-        for name in docs[domain]["files"]:
-            for key, sub, read in (("images", image_dir, tensorio.read_tensor),
-                                   (mask_key, mask_dir, _read_mask)):
-                data[domain][key].append(read(os.path.join(data_dir, sub, name + ".tnsr")))
+        doc = docs[domain]
+        images = masks = np.empty(0)  # an empty domain is stack_dataset's to reject
+        for i, name in enumerate(doc["files"]):
+            paths = [os.path.join(data_dir, sub, name + ".tnsr") for sub in (image_dir, mask_dir)]
+            im = tensorio.read_tensor(paths[0])
+            im = im[..., None] if im.ndim == 2 else im  # as in stack_dataset
+            if i == 0:  # the domain's first image sets its stacks' shapes and image dtype
+                images = np.empty((len(doc["files"]), *im.shape), im.dtype)
+                masks = np.empty((len(images), *im.shape[:2]), np.uint16)
+            if im.dtype != images.dtype:
+                raise ValidationError(f"{domain}: {paths[0]} is {im.dtype}, not {images.dtype}")
+            # each file goes straight into its row: the load holds no array twice
+            for path, arr, stack in zip(paths, (im, _read_mask(paths[1])), (images, masks)):
+                if arr.shape != stack.shape[1:]:
+                    raise DimensionMismatchError(
+                        f"{domain}: {path} has shape {arr.shape}, not {stack.shape[1:]}")
+                stack[i] = arr  # u8 masks widen losslessly
+        data[domain] = {"images": images, mask_key: masks, "image_labels": doc["image_labels"]}
     # K is taken from the source masks, and is at least 2
     data["num_classes"] = 1 + max([1, *(int(m[m != IGNORE].max(initial=0))
                                         for m in data["source"]["masks"])])

@@ -100,9 +100,8 @@ def write_tensor(path, arr, dtype_code: int = None) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    return tensor_from_bytes(data)
+    with open(path, "rb", buffering=0) as fh:  # no read buffer: one bytes object per file
+        return tensor_from_bytes(fh.read())
 
 
 def tensor_from_bytes(data: bytes) -> np.ndarray:
@@ -125,5 +124,4 @@ def tensor_from_bytes(data: bytes) -> np.ndarray:
     if len(data) - hdr_end != expected:
         raise TensorFormatError(
             f"payload length {len(data) - hdr_end} != expected {expected}")
-    arr = np.frombuffer(data[hdr_end:], dtype=np_dtype).reshape(dims)
-    return arr.copy()
+    return np.frombuffer(data, np_dtype, offset=hdr_end).reshape(dims).copy()  # no sliced copy

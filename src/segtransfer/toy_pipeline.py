@@ -18,15 +18,15 @@ source images first, then the target ones -- pixel features
 features (B, D).  The data takes one form too, from `stack_dataset` on:
 each domain's images, masks (eval masks on the target side) and labels
 are one array each along axis 0, the images (N, H, W, C) uint8.  `train`
-adds each domain's pooled features and an (N_t, H, W) array of pseudo
-labels, gathers each batch's rows into buffers of the run and builds the
-batch's pixel features from its images, since they are a pure function
-of them.  No array holds every image's features, nor every target
-image's probability map: each pass over the target images forwards them
-in blocks of whole images, at most _BLOCK_PIXELS pixels each, and hands
-each block to the evaluation, the threshold values and the pseudo labels
-before the next is built.  With pseudo labels an epoch makes two such
-passes, one without.
+adds each domain's pooled features and, with pseudo labels, an
+(N_t, H, W) array of them, gathers each batch's rows into buffers of
+the run and builds the batch's pixel features from its images, since
+they are a pure function of them.  No array holds every image's
+features, nor every target image's probability map: each pass over the
+target images forwards them in blocks of whole images, at most
+_BLOCK_PIXELS pixels each, and hands each block to the evaluation, the
+threshold values and the pseudo labels before the next is built.  With
+pseudo labels an epoch makes two such passes, one without.
 
 A step forwards only the images that can carry a pixel gradient: the
 segmentation loss and the centroids read labelled pixels only, and only
@@ -476,11 +476,9 @@ class TrainResult:
     bank_s: CentroidBank
     bank_t: CentroidBank
     log: list
-    pseudo_masks: np.ndarray  # (N_t, H, W) uint16, the last epoch's pseudo labels
-
-
-def _all_ignore(shape):
-    return np.full(shape, IGNORE, dtype=np.uint16)
+    # (N_t, H, W) uint16, the last epoch's pseudo labels; without use_pl a read-only
+    # all-IGNORE view, which a caller copies with np.array before writing to it
+    pseudo_masks: np.ndarray
 
 
 def stack_dataset(data) -> dict:
@@ -626,19 +624,19 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
     The dataset is checked and stacked by stack_dataset, which copies
     nothing when it is stacked already; train keeps no other reference to
     it.  Each domain keeps its images (uint8 in practice) and masks, the
-    target side its eval masks and an (N_t, H, W) array of the current
-    pseudo labels; the image-level labels and the mean-pooled classifier
-    inputs, built once, are one small array each over both domains.  No
-    array holds the pixel features of all images: a step gathers its rows
-    into buffers of the run and builds the batch's features from its
-    images, the target ones only if ADV or pseudo labels are on (see
-    batch_forward).  Nor does any array hold every target image's
-    probability map: each pass over the target images forwards them in
-    blocks of whole images and hands each block to its consumers before
-    building the next.  The evaluation pass ending an epoch feeds the
-    confusion matrix and, but for the last epoch, the values of the next
-    epoch's thresholds; with pseudo labels, each epoch opens with a pass
-    that labels every block under those thresholds, the same weights
+    target side its eval masks and, with pseudo labels on, an
+    (N_t, H, W) array of them; the image-level labels and the mean-pooled
+    classifier inputs, built once, are one small array each over both
+    domains.  No array holds the pixel features of all images: a step
+    gathers its rows into buffers of the run and builds the batch's
+    features from its images, the target ones only if ADV or pseudo labels
+    are on (see batch_forward).  Nor does any array hold every target
+    image's probability map: each pass over the target images forwards
+    them in blocks of whole images and hands each block to its consumers
+    before building the next.  The evaluation pass ending an epoch feeds
+    the confusion matrix and, but for the last epoch, the values of the
+    next epoch's thresholds; with pseudo labels, each epoch opens with a
+    pass that labels every block under those thresholds, the same weights
     giving the same bits, and an initial pass gathers the first epoch's
     values.  The superpixel priors, a byte per pixel, are made once by one
     process per CPU this one may use (_superpixel_bits).  Blocks hold
@@ -649,7 +647,9 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
     k, src, tgt = int(data["num_classes"]), data["source"], data["target"]
     n_src, h, w, c = src["images"].shape
     n_tgt = len(tgt["images"])
-    pseudo = _all_ignore((n_tgt, h, w))
+    # without pseudo labels, no array: a read-only view of one IGNORE
+    pseudo = np.broadcast_to(np.uint16(IGNORE), (n_tgt, h, w))
+    pseudo = pseudo.copy() if cfg.use_pl else pseudo
     # one set of buffers serves the pooled features, every batch and every target block
     cap = min(cfg.batch_size, n_src)
     n_cap = max(2 * cap, min(_block_images(h, w), n_tgt))  # images

@@ -36,7 +36,6 @@ from segtransfer.toy_pipeline import (
     ToyModels,
     _block_images,
     _FeatureBuilder,
-    _all_ignore,
     _logistic,
     _pooled_features,
     batch_forward,
@@ -199,7 +198,7 @@ def train(cfg: TrainConfig, data: dict) -> TrainResult:
     data = stack_dataset(data)
     src, tgt = data["source"], data["target"]
     images = np.concatenate([src["images"], tgt["images"]])
-    masks = np.concatenate([src["masks"], _all_ignore(tgt["eval_masks"].shape)])
+    masks = np.concatenate([src["masks"], np.full(tgt["eval_masks"].shape, IGNORE, np.uint16)])
     labels = np.concatenate([src["image_labels"], tgt["image_labels"]])
     pooled = _pooled_features(images, _FeatureBuilder(*images.shape))
     n_img, h, w, c = images.shape

@@ -31,7 +31,6 @@ from segtransfer.superpixel import slic
 from segtransfer.thresholds import determine_lambdas, portion_at
 from segtransfer.toy_pipeline import (
     TrainResult,
-    _all_ignore,
     _sigmoid,
     init_models,
     refine_probs_by_classification,
@@ -356,7 +355,7 @@ def train(cfg, data: dict) -> TrainResult:
 
     step = 0
     log = []
-    pseudo_masks = [_all_ignore(shape) for _ in range(n_tgt)]
+    pseudo_masks = [np.full(shape, IGNORE, np.uint16) for _ in range(n_tgt)]
 
     for epoch in range(cfg.epochs):
         p = portion_at(cfg.schedule, epoch)
@@ -374,7 +373,7 @@ def train(cfg, data: dict) -> TrainResult:
                     m[(m != IGNORE) & (m >= 1)] = IGNORE
                 pseudo_masks.append(m)
         else:
-            pseudo_masks = [_all_ignore(shape) for _ in range(n_tgt)]
+            pseudo_masks = [np.full(shape, IGNORE, np.uint16) for _ in range(n_tgt)]
         selected = sum(int((m != IGNORE).sum()) for m in pseudo_masks)
         pl_fraction = selected / float(n_tgt * shape[0] * shape[1])
 

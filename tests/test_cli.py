@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -429,6 +430,70 @@ class TestTrainCmd:
             assert part["image_labels"].shape == (n,)
         assert [np.shares_memory(images, data[domain]["images"])
                 for images, domain in zip(read, ("source", "target"))] == [True, True]
+
+    def test_load_holds_each_array_once(self, tiny_dataset):
+        """Each file is read straight into its row of its domain's stacks:
+        the load's traced peak is the arrays it returns and one file, plus
+        the Python objects of the label documents, paths and array headers,
+        and never a second copy of the data."""
+        _, data_dir, _ = tiny_dataset
+        largest = max(os.path.getsize(os.path.join(root, f))
+                      for root, _, files in os.walk(data_dir) for f in files)
+        cli._load_dataset(data_dir)  # first-call allocations are not the load's
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            data, _ = cli._load_dataset(data_dir)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        nbytes = sum(arr.nbytes for domain in ("source", "target")
+                     for arr in data[domain].values())
+        assert peak < nbytes + largest + 6 * 1024
+
+    @pytest.mark.parametrize("sub,name,shape,code,message", [
+        ("source/images", "im_0003", (12, 10), tensorio.DTYPE_U8,
+         "source: {} has shape (12, 10, 1), not (12, 12, 1)"),
+        ("target_eval/masks", "im_0001", (10, 12), tensorio.DTYPE_U16,
+         "target: {} has shape (10, 12), not (12, 12)"),
+        ("target/images", "im_0002", (12, 12), tensorio.DTYPE_U16,
+         "target: {} is uint16, not uint8"),
+    ], ids=["image size", "mask size", "image dtype"])
+    def test_file_unlike_its_domain_rejected(self, tiny_dataset, tmp_path, capfd, monkeypatch,
+                                             sub, name, shape, code, message):
+        """An image or mask of another size than its domain's first image,
+        or an image of another TNSR dtype, exits 2 with one line naming
+        the domain and the file, before SLIC runs."""
+        cfg, data_dir, _ = tiny_dataset
+
+        def refuse(*args):
+            raise AssertionError("_superpixel_bits ran on a rejected dataset")
+
+        monkeypatch.setattr(toy_pipeline, "_superpixel_bits", refuse)
+        path = os.path.join(data_dir, sub, name + ".tnsr")
+        tensorio.write_tensor(path, np.zeros(shape), code)
+        capfd.readouterr()
+        self.assert_rejected(cfg, data_dir, str(tmp_path / "run"))
+        assert capfd.readouterr().err == "error: " + message.format(path) + "\n"
+
+    @pytest.mark.parametrize("edit", ["u8 eval masks", "image with a channel axis"])
+    def test_equivalent_files_train_alike(self, tiny_dataset, tmp_path, edit):
+        """u8 eval masks widen losslessly, and an (H, W, 1) image is the
+        (H, W) one: either trains to the same bytes as the files gen-synth
+        wrote."""
+        cfg, data_dir, _ = tiny_dataset
+        runs = [str(tmp_path / "before"), str(tmp_path / "after")]
+        assert main(["--config", cfg, "--quiet", "train", data_dir, "--out", runs[0]]) == 0
+        if edit == "u8 eval masks":
+            for path in Path(data_dir, "target_eval", "masks").iterdir():
+                tensorio.write_tensor(path, tensorio.read_tensor(path), tensorio.DTYPE_U8)
+        else:
+            path = Path(data_dir, "source", "images", "im_0002.tnsr")
+            tensorio.write_tensor(path, tensorio.read_tensor(path)[..., None])
+        assert main(["--config", cfg, "--quiet", "train", data_dir, "--out", runs[1]]) == 0
+        trees = [{p.relative_to(run): p.read_bytes() for p in Path(run).rglob("*") if p.is_file()}
+                 for run in runs]
+        assert trees[0] == trees[1]
 
     def test_ablation_flags(self, tiny_dataset, tmp_path):
         cfg, data_dir, _ = tiny_dataset

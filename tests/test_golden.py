@@ -37,6 +37,8 @@ TRAIN_RUNS = {
     # pseudo labels and SRT without ADV: target rows are forwarded iff PL or
     # ADV is on, decided once per run, so every step here forwards them
     "train no-adv": ("data", {}, ["--no-adv"]),
+    # ADV alone: the steps read the target masks while no pseudo label is made
+    "train al": ("data", {}, ["--no-pl", "--no-srt"]),
     "train refine+gate": ("data", REFINE_GATE, []),
     "blocked train full": ("blocked", {}, []),
     "blocked train refine+gate": ("blocked", REFINE_GATE, []),
@@ -200,6 +202,26 @@ DIGESTS = {
         "pseudo_labels/im_0005.tnsr": "f20949f7ee94db34dd163f91fdb025272a444e6ed69a33a2a032f599ca89f191",
         "pseudo_labels/im_0006.tnsr": "05a9afd6f607e4fdaba8ee7613b4a021468771e99477037d666f37b38e9a189a",
         "pseudo_labels/im_0007.tnsr": "c2ca1858f356c10eacdb8471f987c9cd6281e79913b534a6444b4e54a8bd0bfc"
+    },
+    "train al": {
+        "config.json": "38ba0170e1c1296e9561164caaab258b951e2fc973da86b33c6436e05837f449",
+        "log.csv": "1e8646c58a600fc4cc073b717482fa44440a02ee71c1cb541730f6a5d77000b1",
+        "log.jsonl": "6848577b8e04eb72d2afbd2ca3064ebe9b70430dd269dfa43a222fd494766ef1",
+        "models/centroids_source.json": "06f3e0c338cf69d3e8243a830ec7fc0b3b0b70ffd26dff4ecd995cf23ee277eb",
+        "models/centroids_source.tnsr": "9e4ba193459a8688e0551b373001b3f87d84a30233f0e71054476757f64fe2a9",
+        "models/centroids_target.json": "06f3e0c338cf69d3e8243a830ec7fc0b3b0b70ffd26dff4ecd995cf23ee277eb",
+        "models/centroids_target.tnsr": "4a0001f342b3c9f64d30750d46940365e3f83df8b00f66b70742f8db2b77584b",
+        "models/classifier.tnsr": "426751f06462566a09675fa28f0566362816e7cd5cbac97268e65966528475a8",
+        "models/discriminator.tnsr": "c2dc328dad32188d96818278b357787754e099b790e03b760ad1ecbacf0814fd",
+        "models/segmenter.tnsr": "f58f155a21d15454c4788efc526f6a673095bc06977ddfabfa443a66f65c9aa5",
+        "pseudo_labels/im_0000.tnsr": "db3fd56f83ce065705e5ff2d816f743d3a398f5ea3e6a84760ce963ba4c3ecc9",
+        "pseudo_labels/im_0001.tnsr": "db3fd56f83ce065705e5ff2d816f743d3a398f5ea3e6a84760ce963ba4c3ecc9",
+        "pseudo_labels/im_0002.tnsr": "db3fd56f83ce065705e5ff2d816f743d3a398f5ea3e6a84760ce963ba4c3ecc9",
+        "pseudo_labels/im_0003.tnsr": "db3fd56f83ce065705e5ff2d816f743d3a398f5ea3e6a84760ce963ba4c3ecc9",
+        "pseudo_labels/im_0004.tnsr": "db3fd56f83ce065705e5ff2d816f743d3a398f5ea3e6a84760ce963ba4c3ecc9",
+        "pseudo_labels/im_0005.tnsr": "db3fd56f83ce065705e5ff2d816f743d3a398f5ea3e6a84760ce963ba4c3ecc9",
+        "pseudo_labels/im_0006.tnsr": "db3fd56f83ce065705e5ff2d816f743d3a398f5ea3e6a84760ce963ba4c3ecc9",
+        "pseudo_labels/im_0007.tnsr": "db3fd56f83ce065705e5ff2d816f743d3a398f5ea3e6a84760ce963ba4c3ecc9"
     },
     "train refine+gate": {
         "config.json": "bb7cc5d8463838eaae182f921f4ebaca00d598c0ffc445969775eab6e3181bd1",

@@ -192,6 +192,16 @@ class TestTrain:
         init = init_models(pixel_features(data["source"]["images"][0]).shape[2], 2, 0)
         np.testing.assert_array_equal(res.models.segmenter, init.segmenter)
 
+    @pytest.mark.parametrize("use_adv", [False, True])
+    def test_no_pseudo_array_without_pseudo_labels(self, use_adv):
+        """Without pseudo labels train allocates no (N_t, H, W) array: its
+        pseudo masks are a read-only all-IGNORE view, one value for all rows."""
+        cfg = TrainConfig(epochs=1, learning_rate=0.3, seed=0, use_pl=False, use_adv=use_adv)
+        masks = train(cfg, self.small_data()).pseudo_masks
+        assert masks.shape == (6, 12, 12) and masks.dtype == np.uint16
+        assert (masks == IGNORE).all()
+        assert masks.strides[0] == 0 and not masks.flags.writeable
+
     def test_deterministic_logs(self):
         data = self.small_data(seed=4)
         cfg = TrainConfig(epochs=2, learning_rate=0.3, seed=4)
